@@ -3,13 +3,18 @@
 The age of the ecclesiastical moon on any date follows from three pieces of
 integer arithmetic: the year's golden number and epact, a fixed day-of-year
 numbering that ignores leap days, and a lunation cycle alternating 30- and
-29-day months.  Everything in this module is a pure function of its
-arguments, so all of it is safe to call concurrently.
+29-day months.  A year's 365 ages depend only on its epact class (the 30
+epacts plus the special 25) and on a downward shift of its first January
+lunation, so each (class, shift) table is built once, on first use, and
+cached; there are at most 31 x 4 of them.  Everything in this module is a
+pure function of its arguments, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,18 +36,33 @@ def is_leap_year(year: int) -> bool:
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
 
 
-def _check_year(year: int, minimum: int = YEAR_MIN, maximum: int = YEAR_MAX) -> None:
+def _as_int(value: int, name: str) -> int:
+    # operator.index refuses floats; bool is an int subclass, refused here.
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    return operator.index(value)
+
+
+def _check_year(year: int, minimum: int = YEAR_MIN, maximum: int = YEAR_MAX) -> int:
+    # Returns the year as a plain int, for callers to use in its place.
+    if type(year) is not int:
+        year = _as_int(year, "year")
     if not minimum <= year <= maximum:
         raise ValueError(f"year {year} not in supported range {minimum}..{maximum}")
+    return year
 
 
-def _check_date(month: int, day: int, year: int | None = None) -> None:
+def _check_date(month: int, day: int, year: int | None = None) -> tuple[int, int]:
+    # Returns month and day as plain ints, for callers to use in their place.
+    if type(month) is not int or type(day) is not int:
+        month, day = _as_int(month, "month"), _as_int(day, "day")
     if not 1 <= month <= 12:
         raise ValueError(f"month {month} not in 1..12")
     if not 1 <= day <= _MONTH_LENGTHS[month - 1]:
         raise ValueError(f"day {day} invalid for month {month}")
     if year is not None and month == 2 and day == 29 and not is_leap_year(year):
         raise ValueError(f"February 29 does not exist in {year}")
+    return month, day
 
 
 class CalendarDate(NamedTuple):
@@ -52,16 +72,23 @@ class CalendarDate(NamedTuple):
     day: int
 
 
+# The 365 dates of a year table by day number; Feb 29 shares Feb 28's.
+_TABLE_DATES = tuple(
+    CalendarDate(month, day)
+    for month, length in enumerate(_MONTH_LENGTHS, start=1)
+    for day in range(1, length + 1)
+    if (month, day) != (2, 29)
+)
+
+
 def golden_number(year: int) -> int:
     """Position of the year in the 19-year Metonic cycle, 1..19."""
-    _check_year(year, ANCHOR_YEAR)
-    return year % 19 + 1
+    return _check_year(year, ANCHOR_YEAR) % 19 + 1
 
 
 def century_number(year: int) -> int:
     """Century count starting from 1; the 1500s are century 16."""
-    _check_year(year, ANCHOR_YEAR)
-    return year // 100 + 1
+    return _check_year(year, ANCHOR_YEAR) // 100 + 1
 
 
 _ROMAN_ONES = ("", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
@@ -118,7 +145,7 @@ def _epact_value(year: int) -> int:
 
 def epact(year: int) -> Epact:
     """Epact of the year by the closed form, with the special-25 flag set."""
-    _check_year(year)
+    year = _check_year(year)
     value = _epact_value(year)
     return Epact(value, value == 25 and year % 19 + 1 >= 12)
 
@@ -129,7 +156,10 @@ def day_number(month: int, day: int) -> int:
     February 29 shares February 28's number, so the numbering is identical
     in common and leap years.
     """
-    _check_date(month, day)
+    return _day_number(*_check_date(month, day))
+
+
+def _day_number(month: int, day: int) -> int:
     if month == 2 and day == 29:
         day = 28
     return day - 1 + 30 * (month - 1) + (7 * month - 2) // 12 - 2 * ((month + 9) // 12)
@@ -161,17 +191,32 @@ def lunation_branch(epact_value: int, golden: int) -> LunationBranch:
     return LunationBranch.LONG_FIRST
 
 
+@functools.lru_cache(maxsize=None)
+def _class_ages(e: int, special25: bool, shift: int) -> tuple[int, ...]:
+    # Keyed by epact class (value, special-25 flag) and January shift, never
+    # by year: at most 31 x 4 tables.  The first January lunation, days
+    # 0..29-e, runs e+1..30 in both lunation branches; after it LONG_FIRST
+    # reads the 59-day lunation cycle 29 days further on than SHORT_FIRST.
+    offset = e if e < 25 or special25 else e + 29
+    ages = (e + n + 1 - shift if n + e < 30 else lunation_value(offset + n) for n in range(365))
+    return tuple(age + 30 if age <= 0 else age for age in ages)
+
+
+def _year_ages(year: int, shift: int = 0) -> tuple[int, ...]:
+    # The 365 ages of a checked year by day number, its first January
+    # lunation shifted down by ``shift``.  Callers share the tuple; public
+    # functions hand out copies or single ages.
+    e = _epact_value(year)
+    return _class_ages(e, e == 25 and year % 19 + 1 >= 12, shift)
+
+
 def moon_age(year: int, month: int, day: int) -> int:
     """Age of the ecclesiastical moon on the given date, 1..30.
 
     This is the uncorrected age: Januaries of correction years may skip or
     repeat a day relative to the previous December (see
-    :mod:`computus.tables` for the pronounced and corrected variants).
+    :mod:`computus.tables` for the pronounced and corrected variants).  It
+    is read from the year's epact-class table.
     """
-    _check_year(year)
-    _check_date(month, day, year)
-    e = _epact_value(year)
-    n = day_number(month, day)
-    if lunation_branch(e, year % 19 + 1) is LunationBranch.SHORT_FIRST:
-        return lunation_value(e + n)
-    return lunation_value(e + n + 29) + (1 if n + e < 30 else 0)
+    year = _check_year(year)
+    return _year_ages(year)[_day_number(*_check_date(month, day, year))]

@@ -16,11 +16,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import core
-from .core import CalendarDate, Epact, _check_date, _check_year, _epact_value, moon_age
+from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, _day_number
 from .recurrence import jump
-
-# 365-entry tables never contain Feb 29; it shares Feb 28's age.
-_TABLE_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 class MoonAgeMode(enum.Enum):
@@ -31,6 +28,27 @@ class MoonAgeMode(enum.Enum):
     CORRECTED = "corrected"
 
 
+# Looking up an enum member is slow before Python 3.12; the per-date paths
+# compare against these instead.
+_PRONOUNCED, _CORRECTED = MoonAgeMode.PRONOUNCED, MoonAgeMode.CORRECTED
+
+
+def _mode_ages(year: int, mode: MoonAgeMode) -> tuple[int, ...]:
+    # The modes differ only in how far the first January lunation is shifted
+    # down: by the jump when corrected, by one when pronounced in a year with
+    # golden number 1 and a positive epact.
+    if mode is _CORRECTED:
+        return core._year_ages(year, jump(year))
+    pronounced = mode is _PRONOUNCED and year % 19 == 0 and core._epact_value(year) > 0
+    return core._year_ages(year, 1 if pronounced else 0)
+
+
+def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> int:
+    """The raw, pronounced, or corrected age, read from the year's table."""
+    year = _check_year(year)
+    return _mode_ages(year, mode)[_day_number(*_check_date(month, day, year))]
+
+
 def pronounced_age(year: int, month: int, day: int) -> int:
     """Moon age as pronounced at the reading of the Martyrology.
 
@@ -39,11 +57,7 @@ def pronounced_age(year: int, month: int, day: int) -> int:
     restoring the new moon lost when the Metonic correction lands.  On all
     other days this equals :func:`computus.core.moon_age`.
     """
-    age = moon_age(year, month, day)
-    e = _epact_value(year)
-    if year % 19 == 0 and e > 0 and month == 1 and day + e <= 30:
-        return age - 1
-    return age
+    return age_in_mode(year, month, day, _PRONOUNCED)
 
 
 def corrected_age(year: int, month: int, day: int) -> int:
@@ -55,51 +69,16 @@ def corrected_age(year: int, month: int, day: int) -> int:
     boundary.  Elsewhere this equals the raw age.  The value 31 appears
     only on January days of years whose jump is -1.
     """
-    age = moon_age(year, month, day)
-    e = _epact_value(year)
-    if month == 1 and day + e <= 30:
-        shifted = age - jump(year)
-        return shifted + 30 if shifted <= 0 else shifted
-    return age
-
-
-def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> int:
-    """Dispatch to the raw, pronounced, or corrected age."""
-    if mode is MoonAgeMode.PRONOUNCED:
-        return pronounced_age(year, month, day)
-    if mode is MoonAgeMode.CORRECTED:
-        return corrected_age(year, month, day)
-    return moon_age(year, month, day)
+    return age_in_mode(year, month, day, _CORRECTED)
 
 
 def year_ages(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[int]:
     """The year's 365 moon ages indexed by day number.
 
-    Same values as calling the per-date functions for every day, built
-    without re-deriving the epact each time.
+    A fresh copy of the table the per-date functions read, which every year
+    of the same epact class and January shift shares.
     """
-    _check_year(year)
-    e = _epact_value(year)
-    branch = core.lunation_branch(e, year % 19 + 1)
-    if branch is core.LunationBranch.SHORT_FIRST:
-        ages = [core.lunation_value(e + n) for n in range(365)]
-    else:
-        ages = [
-            core.lunation_value(e + n + 29) + (1 if n + e < 30 else 0)
-            for n in range(365)
-        ]
-    # Both adjustments touch only January days 1..30-epact.
-    if mode is MoonAgeMode.PRONOUNCED:
-        if year % 19 == 0 and e > 0:
-            for n in range(30 - e):
-                ages[n] -= 1
-    elif mode is MoonAgeMode.CORRECTED:
-        j = jump(year)
-        if j:
-            for n in range(30 - e):
-                shifted = ages[n] - j
-                ages[n] = shifted + 30 if shifted <= 0 else shifted
-    return ages
+    return list(_mode_ages(_check_year(year), mode))
 
 
 class DayEntry(NamedTuple):
@@ -146,15 +125,12 @@ class YearLunarTable:
 
 def year_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> YearLunarTable:
     """Build the day-by-day lunar table for a year."""
-    ages = year_ages(year, mode)
-    entries = []
-    n = 0
-    for month, length in enumerate(_TABLE_MONTH_LENGTHS, start=1):
-        for day in range(1, length + 1):
-            age = ages[n]
-            n += 1
-            entries.append(DayEntry(month, day, age, age == 1, age == 14))
-    return YearLunarTable(year, mode, tuple(entries))
+    year = _check_year(year)
+    entries = tuple(
+        DayEntry(month, day, age, age == 1, age == 14)
+        for (month, day), age in zip(_TABLE_DATES, _mode_ages(year, mode))
+    )
+    return YearLunarTable(year, mode, entries)
 
 
 class DayAge(NamedTuple):
@@ -187,7 +163,7 @@ class TransitionTable:
 
 def transition_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> TransitionTable:
     """The 31 + 31 day ages around the December 31 / January 1 boundary."""
-    _check_year(year, core.YEAR_MIN + 1)
+    year = _check_year(year, core.YEAR_MIN + 1)
     december = year_ages(year - 1)[334:]
     january = year_ages(year, mode)[:31]
     return TransitionTable(
@@ -200,7 +176,8 @@ def transition_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> Transiti
 
 def new_moon_dates(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[CalendarDate]:
     """All dates of the year whose age is 1, ascending; 12 or 13 of them."""
-    return year_table(year, mode).new_moons()
+    ages = _mode_ages(_check_year(year), mode)
+    return [date for date, age in zip(_TABLE_DATES, ages) if age == 1]
 
 
 class MartyrologyLetter(NamedTuple):
@@ -220,24 +197,31 @@ def load_letter_map(path: str | Path | None = None) -> LetterMap:
     """Read a letter mapping from a JSON file, or the packaged default.
 
     The file holds an ``epacts`` object keyed "0".."29" and a ``special_25``
-    glyph.
+    glyph; every glyph is a non-empty string.  An unreadable file or a
+    malformed mapping raises ValueError.
     """
-    if path is None:
-        text = (
-            resources.files("computus")
-            .joinpath("data/martyrology_letters.json")
-            .read_text("utf-8")
-        )
-    else:
-        text = Path(path).read_text("utf-8")
-    raw = json.loads(text)
     try:
-        epacts = raw["epacts"]
-        symbols = tuple(epacts[str(v)] for v in range(30))
-        special = raw["special_25"]
-    except KeyError as exc:
-        raise ValueError(f"letter map is missing entry {exc}") from None
-    return LetterMap(symbols, special)
+        if path is None:
+            text = (
+                resources.files("computus")
+                .joinpath("data/martyrology_letters.json")
+                .read_text("utf-8")
+            )
+        else:
+            text = Path(path).read_text("utf-8")
+        raw = json.loads(text)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ValueError(f"cannot read letter map: {exc}") from None
+    epacts = raw.get("epacts") if isinstance(raw, dict) else None
+    if not isinstance(epacts, dict):
+        raise ValueError("letter map must be an object holding an 'epacts' object")
+    entries = {f"epacts {v}": epacts.get(str(v)) for v in range(30)}
+    entries["special_25"] = raw.get("special_25")
+    for name, glyph in entries.items():
+        if not isinstance(glyph, str) or not glyph:
+            raise ValueError(f"letter map entry {name} must be a non-empty string, got {glyph!r}")
+    *symbols, special = entries.values()
+    return LetterMap(tuple(symbols), special)
 
 
 @functools.lru_cache(maxsize=1)
@@ -279,34 +263,28 @@ def day_of_week(year: int, month: int, day: int) -> Weekday:
     weekday is computed directly.  The result repeats with the calendar's
     400-year period.
     """
-    _check_year(year)
-    _check_date(month, day, year)
+    year = _check_year(year)
+    month, day = _check_date(month, day, year)
     y = year - 1 if month < 3 else year
     return Weekday(
         (y + y // 4 - y // 100 + y // 400 + _WEEKDAY_OFFSETS[month - 1] + day) % 7
     )
 
 
-def _next_date(month: int, day: int) -> tuple[int, int]:
-    if day < _TABLE_MONTH_LENGTHS[month - 1]:
-        return month, day + 1
-    return month + 1, 1
+_MARCH_21 = 79  # day number of the earliest paschal full moon
 
 
 def easter_date(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> CalendarDate:
     """Easter Sunday: the Sunday strictly after the first 14th day of the
     moon falling on or after March 21.
 
-    The mode argument is accepted for interface symmetry but the search
-    always reads raw ages: the pronounced and corrected adjustments touch
-    only the first January lunation and cannot move the paschal full moon.
-    The result always lies in March 22 .. April 25.
+    The full moon is looked up in the year's raw age table and the weekday
+    of March 21 steps on to the Sunday.  The mode argument is accepted for
+    interface symmetry but unused: the pronounced and corrected adjustments
+    touch only January and cannot move the paschal full moon.  The result
+    always lies in March 22 .. April 25.
     """
-    _check_year(year)
-    month, day = 3, 21
-    while moon_age(year, month, day) != 14:
-        month, day = _next_date(month, day)
-    month, day = _next_date(month, day)
-    while day_of_week(year, month, day) is not Weekday.SUNDAY:
-        month, day = _next_date(month, day)
-    return CalendarDate(month, day)
+    year = _check_year(year)
+    full = core._year_ages(year).index(14, _MARCH_21)
+    weekday = (day_of_week(year, 3, 21) + full - _MARCH_21) % 7
+    return _TABLE_DATES[full + 7 - weekday]

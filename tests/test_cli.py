@@ -40,6 +40,43 @@ def test_epact_custom_letters(capsys, tmp_path):
     assert code == 0 and "letter Z" in out
 
 
+def _letters(**override):
+    data = {"epacts": {str(v): "Z" for v in range(30)}, "special_25": "Q"}
+    data.update(override)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no such file
+        "directory",  # unreadable as a file
+        "{not json",
+        b"\xff\xfe",  # not UTF-8
+        "[1, 2]",  # top level not an object
+        _letters(epacts=["*"]),
+        _letters(epacts={str(v): "Z" for v in range(29)}),  # glyph for 29 missing
+        _letters(special_25=""),
+        _letters(special_25=7),
+    ],
+    ids=[
+        "missing-file", "directory", "bad-json", "not-utf8", "top-level-array",
+        "epacts-not-object", "glyph-missing", "glyph-empty", "glyph-not-string",
+    ],
+)  # fmt: skip
+def test_epact_bad_letters_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "letters.json"
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "epact", "1945", "--letters", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_moon_age_command(capsys):
     assert run_cli(capsys, "moon-age", "1945-08-15")[1].strip() == "7"
     assert (

@@ -4,8 +4,11 @@ from computus import (
     CalendarDate,
     Epact,
     LunationBranch,
+    MoonAgeMode,
     century_number,
+    corrected_age,
     day_number,
+    easter_date,
     epact,
     epact_label,
     golden_number,
@@ -13,6 +16,10 @@ from computus import (
     lunation_branch,
     lunation_value,
     moon_age,
+    new_moon_dates,
+    transition_table,
+    year_ages,
+    year_table,
 )
 
 
@@ -187,3 +194,54 @@ def test_operations_at_year_ceiling():
     assert 1 <= moon_age(4_000_000, 6, 1) <= 30
     with pytest.raises(ValueError):
         epact(4_000_001)
+
+
+class _Index:
+    """An integer-like value that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_non_integers_rejected():
+    with pytest.raises(TypeError):
+        moon_age(1945.5, 8, 15)
+    with pytest.raises(TypeError):
+        moon_age(1945.0, 8, 15)
+    with pytest.raises(TypeError):
+        epact(1945.0)
+    with pytest.raises(TypeError):
+        easter_date(2000.7)
+    with pytest.raises(TypeError):
+        moon_age(1945, 8.0, 15)
+    # bool is an int subclass, but True is no month.
+    with pytest.raises(TypeError):
+        moon_age(1945, True, 15)
+    with pytest.raises(TypeError):
+        day_number(1, False)
+
+
+def test_float_call_leaves_int_results():
+    with pytest.raises(TypeError):
+        moon_age(1945.0, 8, 15)
+    age = moon_age(1945, 8, 15)
+    assert age == 7 and type(age) is int
+    assert all(type(a) is int for a in year_ages(1945))
+
+
+def test_index_types_accepted_as_plain_ints():
+    age = moon_age(_Index(1945), _Index(8), _Index(15))
+    assert age == 7 and type(age) is int
+    assert epact(_Index(1945)) == Epact(16)
+    assert golden_number(_Index(1945)) == 8
+    assert easter_date(_Index(2000)) == (4, 23)
+    assert corrected_age(_Index(4200), 1, _Index(30)) == 31
+    ages = year_ages(_Index(4200), MoonAgeMode.CORRECTED)
+    assert ages == year_ages(4200, MoonAgeMode.CORRECTED)
+    assert all(type(a) is int for a in ages)
+    assert type(year_table(_Index(2033)).year) is int
+    assert type(transition_table(_Index(2033)).year) is int
+    assert new_moon_dates(_Index(2033)) == new_moon_dates(2033)

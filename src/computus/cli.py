@@ -1,7 +1,8 @@
 """Command-line front end: point queries, table emission, verification.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 on bad
-arguments or out-of-range dates.
+arguments or out-of-range dates.  When the reader of standard output closes
+it early, the command stops writing and exits 0 without a message.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import calendar as _stdcal
 import csv
 import json
+import os
 import sys
 
 from . import core, tables, verify
@@ -238,7 +240,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -47,24 +47,21 @@ def _lunar(year: int) -> int:
 
 def metonic_correction(year: int) -> int:
     """1 in years with golden number 1, when a Metonic cycle has just closed."""
-    _check_year(year, maximum=RECURRENCE_MAX)
-    return _metonic(year)
+    return _metonic(_check_year(year, maximum=RECURRENCE_MAX))
 
 
 def solar_correction(year: int) -> int:
     """1 in century years not divisible by 400 (the dropped leap days)."""
-    _check_year(year, maximum=RECURRENCE_MAX)
-    return _solar(year)
+    return _solar(_check_year(year, maximum=RECURRENCE_MAX))
 
 
 def lunar_correction(year: int) -> int:
     """1 in the years realigning the ecclesiastical moon with the mean moon."""
-    _check_year(year, maximum=RECURRENCE_MAX)
-    return _lunar(year)
+    return _lunar(_check_year(year, maximum=RECURRENCE_MAX))
 
 
 def correction_flags(year: int) -> CorrectionFlags:
-    _check_year(year, maximum=RECURRENCE_MAX)
+    year = _check_year(year, maximum=RECURRENCE_MAX)
     return CorrectionFlags(_metonic(year), _solar(year), _lunar(year))
 
 
@@ -93,22 +90,20 @@ def epact_by_recurrence(year: int) -> Epact:
 
     Linear in ``year - 1582``.
     """
-    _check_year(year, ANCHOR_YEAR, RECURRENCE_MAX)
-    value = ANCHOR_EPACT
-    for y in range(ANCHOR_YEAR + 1, year + 1):
-        value = (value + 11 + _metonic(y) - _solar(y) + _lunar(y)) % 30
+    year = _check_year(year, ANCHOR_YEAR, RECURRENCE_MAX)
+    [(_, value)] = epact_sequence(year, year)
     return Epact(value, value == 25 and year % 19 + 1 >= 12)
 
 
 def solar_sum(year: int) -> int:
     """Number of solar corrections in 1583..year, by the century closed form."""
-    _check_year(year, maximum=RECURRENCE_MAX)
+    year = _check_year(year, maximum=RECURRENCE_MAX)
     return 3 * (year // 100 + 1) // 4 - 12
 
 
 def lunar_sum(year: int) -> int:
     """Number of lunar corrections in 1583..year, by the century closed form."""
-    _check_year(year, maximum=RECURRENCE_MAX)
+    year = _check_year(year, maximum=RECURRENCE_MAX)
     return (8 * (year // 100 + 1) + 5) // 25 - 5
 
 
@@ -121,7 +116,7 @@ def lunar_sum_alt(year: int) -> int:
     with :func:`lunar_sum` for every supported year, which the verification
     sweep holds it to.
     """
-    _check_year(year, maximum=RECURRENCE_MAX)
+    year = _check_year(year, maximum=RECURRENCE_MAX)
     c = year // 100 + 1
     return (c - (c - 18) // 25 - 16) // 3
 
@@ -133,5 +128,5 @@ def jump(year: int) -> int:
     A nonzero jump makes the age skip, double, or stall across the
     December 31 / January 1 boundary.
     """
-    _check_year(year, maximum=RECURRENCE_MAX)
+    year = _check_year(year, maximum=RECURRENCE_MAX)
     return (_epact_value(year) - _epact_value(year - 1)) % 30 - 11

@@ -8,10 +8,8 @@ lists, Martyrology letters, and the date of Easter.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -193,23 +191,23 @@ class LetterMap:
     special25: str
 
 
+# Epacts 0..29, then the special 25.  The sources attest only a=1, r=16 and
+# F=25; the glyphs for 0 and for 26..29 follow the conventional sequence and
+# may be overridden with a custom file.
+_LETTERS = LetterMap(tuple("*abcdefghiklmnpqrstuABCDEFGHIK"), "F")
+
+
 def load_letter_map(path: str | Path | None = None) -> LetterMap:
-    """Read a letter mapping from a JSON file, or the packaged default.
+    """Read a letter mapping from a JSON file, or return the default.
 
     The file holds an ``epacts`` object keyed "0".."29" and a ``special_25``
     glyph; every glyph is a non-empty string.  An unreadable file or a
     malformed mapping raises ValueError.
     """
+    if path is None:
+        return _LETTERS
     try:
-        if path is None:
-            text = (
-                resources.files("computus")
-                .joinpath("data/martyrology_letters.json")
-                .read_text("utf-8")
-            )
-        else:
-            text = Path(path).read_text("utf-8")
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text("utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ValueError(f"cannot read letter map: {exc}") from None
     epacts = raw.get("epacts") if isinstance(raw, dict) else None
@@ -224,11 +222,6 @@ def load_letter_map(path: str | Path | None = None) -> LetterMap:
     return LetterMap(tuple(symbols), special)
 
 
-@functools.lru_cache(maxsize=1)
-def _default_letter_map() -> LetterMap:
-    return load_letter_map()
-
-
 def martyrology_letter(e: Epact, letters: LetterMap | None = None) -> MartyrologyLetter:
     """Glyph standing for the epact in Martyrology lunar tables.
 
@@ -237,7 +230,7 @@ def martyrology_letter(e: Epact, letters: LetterMap | None = None) -> Martyrolog
     flag here.
     """
     if letters is None:
-        letters = _default_letter_map()
+        letters = _LETTERS
     if e.special25:
         return MartyrologyLetter(letters.special25, True)
     return MartyrologyLetter(letters.symbols[e.value], False)

@@ -2,7 +2,14 @@
 
 One pass of the epact recurrence drives all year-level identity checks;
 day-level checks (age succession, new-year continuity, the Easter window)
-ride along for each year in range.
+ride along for each year in range, read from the year's epact-class tables.
+
+The sweep accumulates the recurrence itself from the public correction
+predicates, looked up on :mod:`computus.recurrence` every year, rather than
+reading :func:`computus.recurrence.epact_sequence`.  That loop uses the
+unchecked private predicates, so reading it would leave the public ones
+unchecked; routing it through the public ones instead would about double
+its cost per year for every other caller.
 """
 
 from __future__ import annotations
@@ -35,20 +42,25 @@ class VerifyReport:
         return [c for c in self.checks if not c.ok]
 
 
-class _Check:
-    __slots__ = ("name", "count", "failure")
+_CHECK_NAMES = (
+    "epact closed form vs recurrence",
+    "solar sum identity",
+    "lunar sum identity",
+    "alternate lunar sum equivalence",
+    "jump decomposition",
+    "raw age succession",
+    "corrected December-January succession",
+    "new year continuity",
+    "easter window",
+)
 
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.failure: str | None = None
 
-    def fail(self, detail: str) -> None:
-        if self.failure is None:
-            self.failure = detail
-
-    def result(self) -> PropertyCheck:
-        return PropertyCheck(self.name, self.failure is None, self.count, self.failure)
+def _record(check: PropertyCheck, failure: str | None) -> None:
+    # Counts one year; the first failure is the check's counterexample.
+    check.years_checked += 1
+    if failure is not None and check.ok:
+        check.ok = False
+        check.counterexample = failure
 
 
 def _first_bad_step(ages: list[int], resets: tuple[int, ...]) -> int:
@@ -80,16 +92,8 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
             f"{recurrence.RECURRENCE_MAX}, got {start}..{end}"
         )
     dated_end = min(end, core.YEAR_MAX)
-
-    rec = _Check("epact closed form vs recurrence")
-    ssum = _Check("solar sum identity")
-    lsum = _Check("lunar sum identity")
-    lalt = _Check("alternate lunar sum equivalence")
-    jdec = _Check("jump decomposition")
-    succ = _Check("raw age succession")
-    csucc = _Check("corrected December-January succession")
-    cont = _Check("new year continuity")
-    east = _Check("easter window")
+    report = VerifyReport(start, end, [PropertyCheck(name, True, 0) for name in _CHECK_NAMES])
+    rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east = report.checks
 
     prev_ages: list[int] | None = None
     if core.YEAR_MIN < start <= dated_end:
@@ -109,72 +113,44 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
             continue
 
         closed = core._epact_value(year)
-        rec.count += 1
-        if closed != value:
-            rec.fail(f"year {year}: closed form {closed}, recurrence {value}")
-
-        ssum.count += 1
-        if recurrence.solar_sum(year) != solar_total:
-            ssum.fail(
-                f"year {year}: solar_sum {recurrence.solar_sum(year)}, "
-                f"accumulated {solar_total}"
-            )
-        lsum.count += 1
-        if recurrence.lunar_sum(year) != lunar_total:
-            lsum.fail(
-                f"year {year}: lunar_sum {recurrence.lunar_sum(year)}, "
-                f"accumulated {lunar_total}"
-            )
-        lalt.count += 1
-        if recurrence.lunar_sum_alt(year) != recurrence.lunar_sum(year):
-            lalt.fail(
-                f"year {year}: lunar_sum {recurrence.lunar_sum(year)}, "
-                f"alternate form {recurrence.lunar_sum_alt(year)}"
-            )
-        jdec.count += 1
-        if recurrence.jump(year) != m - s + lun:
-            jdec.fail(
-                f"year {year}: jump {recurrence.jump(year)}, "
-                f"corrections give {m - s + lun}"
-            )
+        _record(rec, None if closed == value else
+                f"year {year}: closed form {closed}, recurrence {value}")
+        solar = recurrence.solar_sum(year)
+        _record(ssum, None if solar == solar_total else
+                f"year {year}: solar_sum {solar}, accumulated {solar_total}")
+        lunar = recurrence.lunar_sum(year)
+        _record(lsum, None if lunar == lunar_total else
+                f"year {year}: lunar_sum {lunar}, accumulated {lunar_total}")
+        alt = recurrence.lunar_sum_alt(year)
+        _record(lalt, None if alt == lunar else
+                f"year {year}: lunar_sum {lunar}, alternate form {alt}")
+        year_jump = recurrence.jump(year)
+        _record(jdec, None if year_jump == m - s + lun else
+                f"year {year}: jump {year_jump}, corrections give {m - s + lun}")
 
         if year > dated_end:
             continue
 
         ages = tables.year_ages(year)
-        succ.count += 1
         bad = _first_bad_step(ages, (29, 30))
-        if bad >= 0:
-            succ.fail(f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
+        _record(succ, None if bad < 0 else
+                f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
 
         if prev_ages is not None:
-            corrected_january = [tables.corrected_age(year, 1, d) for d in range(1, 32)]
-
-            cont.count += 1
-            dec31 = prev_ages[364]
-            if (corrected_january[0] - dec31 - 1) % 30 != 0:
-                cont.fail(
-                    f"year {year}: Dec 31 age {dec31}, corrected Jan 1 "
-                    f"{corrected_january[0]}"
-                )
-
-            csucc.count += 1
-            boundary = prev_ages[334:] + corrected_january
-            bad = _first_bad_step(boundary, _corrected_resets(recurrence.jump(year)))
-            if bad >= 0:
-                csucc.fail(
+            january = tables.year_ages(year, tables.MoonAgeMode.CORRECTED)[:31]
+            boundary = prev_ages[334:] + january
+            bad = _first_bad_step(boundary, _corrected_resets(year_jump))
+            _record(csucc, None if bad < 0 else
                     f"year {year}: boundary day {bad} age {boundary[bad]} "
-                    f"then {boundary[bad + 1]}"
-                )
+                    f"then {boundary[bad + 1]}")
+            dec31 = prev_ages[364]
+            _record(cont, None if (january[0] - dec31 - 1) % 30 == 0 else
+                    f"year {year}: Dec 31 age {dec31}, corrected Jan 1 {january[0]}")
 
-        east.count += 1
         em, ed = tables.easter_date(year)
-        if not (3, 22) <= (em, ed) <= (4, 25):
-            east.fail(f"year {year}: easter {em:02d}-{ed:02d}")
+        _record(east, None if (3, 22) <= (em, ed) <= (4, 25) else
+                f"year {year}: easter {em:02d}-{ed:02d}")
 
         prev_ages = ages
 
-    report = VerifyReport(start, end)
-    for check in (rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east):
-        report.checks.append(check.result())
     return report

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import computus
 from computus import cli, verify
 
 
@@ -209,3 +214,25 @@ def test_verify_reports_failure(capsys, monkeypatch):
 def test_verify_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify", "--from", "1500", "--to", "1600")
     assert code == 2 and "error:" in err
+
+
+def test_broken_pipe_exits_quietly():
+    # The read end is closed before the child writes, so its first write
+    # to stdout fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(computus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "computus.cli", "table", "2033", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""

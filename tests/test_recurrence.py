@@ -141,3 +141,31 @@ def test_jump_decomposition():
 def test_jump_range_is_minus_one_to_two():
     values = {jump(y) for y in range(1584, 25001)}
     assert values <= {-1, 0, 1, 2}
+
+
+class _Index:
+    """An integer-like value that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        jump,
+        epact_by_recurrence,
+        correction_flags,
+        metonic_correction,
+        solar_correction,
+        lunar_correction,
+        solar_sum,
+        lunar_sum,
+        lunar_sum_alt,
+    ],
+)
+def test_index_years_are_used_as_ints(function):
+    assert function(_Index(16400)) == function(16400)

@@ -7,6 +7,7 @@ import pytest
 from computus import (
     CalendarDate,
     Epact,
+    LetterMap,
     MoonAgeMode,
     Weekday,
     age_in_mode,
@@ -198,6 +199,13 @@ def test_letter_map_is_complete():
     letters = load_letter_map()
     assert len(letters.symbols) == 30
     assert len(set(letters.symbols[1:])) == 29  # distinct glyphs for 1..29
+
+
+def test_default_letters_pinned():
+    glyphs = "*abcdefghiklmnpqrstuABCDEFGHIK"
+    assert [martyrology_letter(Epact(v)).symbol for v in range(30)] == list(glyphs)
+    assert martyrology_letter(Epact(25, True)) == ("F", True)
+    assert load_letter_map() == LetterMap(tuple(glyphs), "F")
 
 
 def test_custom_letter_map(tmp_path):

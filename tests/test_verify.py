@@ -1,6 +1,6 @@
 import pytest
 
-from computus import verify, verify_range
+from computus import core, verify, verify_range
 from computus.verify import _corrected_resets, _first_bad_step
 
 
@@ -81,3 +81,53 @@ def test_full_default_range_passes():
     assert report.ok, report.failures
     for check in report.checks:
         assert check.counterexample is None
+
+
+def _corrupt_class_table(monkeypatch, key, day):
+    """Make one (epact, special-25, shift) table wrong on one day."""
+    real = core._class_ages
+
+    def class_ages(*args):
+        ages = real(*args)
+        if args != key:
+            return ages
+        return ages[:day] + (ages[day] % 30 + 1,) + ages[day + 1 :]
+
+    monkeypatch.setattr(core, "_class_ages", class_ages)
+
+
+def _failing(report):
+    # A failing check still counts every year it checked.
+    return {c.name: (c.years_checked, c.counterexample) for c in report.failures}
+
+
+def test_injected_raw_table_fault_is_caught(monkeypatch):
+    # epact 7 is the class of 1583; day 200 lies past Easter and January
+    _corrupt_class_table(monkeypatch, (7, False, 0), 200)
+    failing = _failing(verify_range(1583, 1700))
+    assert set(failing) == {"raw age succession"}
+    years, counterexample = failing["raw age succession"]
+    assert years == 118 and counterexample.startswith("year 1583:")
+
+
+def test_injected_shifted_january_fault_is_caught(monkeypatch):
+    # 1596 has golden number 1, epact 1 and jump 1: the first year of the
+    # range to read the January table of class 1 shifted by one
+    _corrupt_class_table(monkeypatch, (1, False, 1), 0)
+    failing = _failing(verify_range(1583, 1700))
+    assert set(failing) == {"new year continuity", "corrected December-January succession"}
+    for years, counterexample in failing.values():
+        assert years == 117 and counterexample.startswith("year 1596:")
+
+
+def test_range_across_dated_ceiling():
+    report = verify_range(3_999_990, 4_000_050)
+    assert report.ok, report.failures
+    dated = {
+        "raw age succession",
+        "corrected December-January succession",
+        "new year continuity",
+        "easter window",
+    }
+    for check in report.checks:
+        assert check.years_checked == (11 if check.name in dated else 61), check.name

@@ -26,9 +26,8 @@ YEAR_MAX = 4_000_000
 # at YEAR_MIN.
 ANCHOR_YEAR = 1582
 
-# February is 29 long here because Feb 29 is a valid calendar date; for day
-# numbering it simply shares Feb 28's ordinal.
-_MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# February has 28: day numbers and year tables skip Feb 29, valid in leap years.
+_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 def is_leap_year(year: int) -> bool:
@@ -58,7 +57,7 @@ def _check_date(month: int, day: int, year: int | None = None) -> tuple[int, int
         month, day = _as_int(month, "month"), _as_int(day, "day")
     if not 1 <= month <= 12:
         raise ValueError(f"month {month} not in 1..12")
-    if not 1 <= day <= _MONTH_LENGTHS[month - 1]:
+    if not 1 <= day <= _MONTH_LENGTHS[month - 1] + (month == 2):
         raise ValueError(f"day {day} invalid for month {month}")
     if year is not None and month == 2 and day == 29 and not is_leap_year(year):
         raise ValueError(f"February 29 does not exist in {year}")
@@ -72,13 +71,13 @@ class CalendarDate(NamedTuple):
     day: int
 
 
-# The 365 dates of a year table by day number; Feb 29 shares Feb 28's.
+# The 365 dates of a year table by day number, and each month's first one.
 _TABLE_DATES = tuple(
     CalendarDate(month, day)
     for month, length in enumerate(_MONTH_LENGTHS, start=1)
     for day in range(1, length + 1)
-    if (month, day) != (2, 29)
 )
+_MONTH_STARTS = tuple(n for n, (_, day) in enumerate(_TABLE_DATES) if day == 1)
 
 
 def golden_number(year: int) -> int:
@@ -160,9 +159,7 @@ def day_number(month: int, day: int) -> int:
 
 
 def _day_number(month: int, day: int) -> int:
-    if month == 2 and day == 29:
-        day = 28
-    return day - 1 + 30 * (month - 1) + (7 * month - 2) // 12 - 2 * ((month + 9) // 12)
+    return _MONTH_STARTS[month - 1] + day - 1 - (month == 2 and day == 29)
 
 
 def lunation_value(x: int) -> int:
@@ -202,11 +199,38 @@ def _class_ages(e: int, special25: bool, shift: int) -> tuple[int, ...]:
     return tuple(age + 30 if age <= 0 else age for age in ages)
 
 
-def _year_ages(year: int, shift: int = 0) -> tuple[int, ...]:
-    # The 365 ages of a checked year by day number, its first January
-    # lunation shifted down by ``shift``.  Callers share the tuple; public
-    # functions hand out copies or single ages.
+class MoonAgeMode(enum.Enum):
+    """How January of a correction year is treated."""
+
+    RAW = "raw"
+    PRONOUNCED = "pronounced"
+    CORRECTED = "corrected"
+
+
+# Looking up an enum member is slow before Python 3.12; the per-date paths
+# compare against these instead.
+_RAW, _PRONOUNCED, _CORRECTED = MoonAgeMode
+
+
+def _jump(year: int) -> int:
+    # Unchecked: recurrence.jump checks the year up to the recurrence ceiling.
+    return (_epact_value(year) - _epact_value(year - 1)) % 30 - 11
+
+
+def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
+    # The 365 ages of a checked year by day number.  The modes differ only
+    # in how far the first January lunation is shifted down: by the jump
+    # when corrected, by one when pronounced in a golden-number-1 year with
+    # a positive epact.  Callers share the tuple and never hand it out.
     e = _epact_value(year)
+    if mode is _RAW:
+        shift = 0
+    elif mode is _CORRECTED:
+        shift = _jump(year)
+    elif mode is _PRONOUNCED:
+        shift = 1 if year % 19 == 0 and e > 0 else 0
+    else:
+        raise TypeError(f"mode must be a MoonAgeMode, got {mode!r}")
     return _class_ages(e, e == 25 and year % 19 + 1 >= 12, shift)
 
 
@@ -219,4 +243,4 @@ def moon_age(year: int, month: int, day: int) -> int:
     is read from the year's epact-class table.
     """
     year = _check_year(year)
-    return _year_ages(year)[_day_number(*_check_date(month, day, year))]
+    return _ages(year)[_day_number(*_check_date(month, day, year))]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import ANCHOR_YEAR, Epact, _check_year, _epact_value
+from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _jump
 
 RECURRENCE_MAX = 10_000_000
 
@@ -71,6 +71,7 @@ def epact_sequence(start: int, end: int) -> Iterator[tuple[int, int]]:
     Use this for sweeps; calling :func:`epact_by_recurrence` per year would
     restart the iteration from 1582 every time.
     """
+    start, end = _as_int(start, "start"), _as_int(end, "end")
     if not ANCHOR_YEAR <= start <= end <= RECURRENCE_MAX:
         raise ValueError(
             f"need {ANCHOR_YEAR} <= start <= end <= {RECURRENCE_MAX}, "
@@ -128,5 +129,4 @@ def jump(year: int) -> int:
     A nonzero jump makes the age skip, double, or stall across the
     December 31 / January 1 boundary.
     """
-    year = _check_year(year, maximum=RECURRENCE_MAX)
-    return (_epact_value(year) - _epact_value(year - 1)) % 30 - 11
+    return _jump(_check_year(year, maximum=RECURRENCE_MAX))

@@ -15,36 +15,13 @@ from typing import NamedTuple
 
 from . import core
 from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, _day_number
-from .recurrence import jump
-
-
-class MoonAgeMode(enum.Enum):
-    """How January of a correction year is treated."""
-
-    RAW = "raw"
-    PRONOUNCED = "pronounced"
-    CORRECTED = "corrected"
-
-
-# Looking up an enum member is slow before Python 3.12; the per-date paths
-# compare against these instead.
-_PRONOUNCED, _CORRECTED = MoonAgeMode.PRONOUNCED, MoonAgeMode.CORRECTED
-
-
-def _mode_ages(year: int, mode: MoonAgeMode) -> tuple[int, ...]:
-    # The modes differ only in how far the first January lunation is shifted
-    # down: by the jump when corrected, by one when pronounced in a year with
-    # golden number 1 and a positive epact.
-    if mode is _CORRECTED:
-        return core._year_ages(year, jump(year))
-    pronounced = mode is _PRONOUNCED and year % 19 == 0 and core._epact_value(year) > 0
-    return core._year_ages(year, 1 if pronounced else 0)
+from .core import _CORRECTED, _MONTH_STARTS, _PRONOUNCED, MoonAgeMode, _ages
 
 
 def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> int:
     """The raw, pronounced, or corrected age, read from the year's table."""
     year = _check_year(year)
-    return _mode_ages(year, mode)[_day_number(*_check_date(month, day, year))]
+    return _ages(year, mode)[_day_number(*_check_date(month, day, year))]
 
 
 def pronounced_age(year: int, month: int, day: int) -> int:
@@ -76,7 +53,7 @@ def year_ages(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[int]:
     A fresh copy of the table the per-date functions read, which every year
     of the same epact class and January shift shares.
     """
-    return list(_mode_ages(_check_year(year), mode))
+    return list(_ages(_check_year(year), mode))
 
 
 class DayEntry(NamedTuple):
@@ -126,7 +103,7 @@ def year_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> YearLunarTable
     year = _check_year(year)
     entries = tuple(
         DayEntry(month, day, age, age == 1, age == 14)
-        for (month, day), age in zip(_TABLE_DATES, _mode_ages(year, mode))
+        for (month, day), age in zip(_TABLE_DATES, _ages(year, mode))
     )
     return YearLunarTable(year, mode, entries)
 
@@ -174,7 +151,7 @@ def transition_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> Transiti
 
 def new_moon_dates(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[CalendarDate]:
     """All dates of the year whose age is 1, ascending; 12 or 13 of them."""
-    ages = _mode_ages(_check_year(year), mode)
+    ages = _ages(_check_year(year), mode)
     return [date for date, age in zip(_TABLE_DATES, ages) if age == 1]
 
 
@@ -246,11 +223,8 @@ class Weekday(enum.IntEnum):
     SATURDAY = 6
 
 
-_WEEKDAY_OFFSETS = (0, 3, 2, 5, 0, 3, 5, 1, 4, 6, 2, 4)
-
-
 def day_of_week(year: int, month: int, day: int) -> Weekday:
-    """Gregorian weekday by congruence.
+    """Gregorian weekday by counting days.
 
     datetime.date stops at year 9999; the years handled here do not, so the
     weekday is computed directly.  The result repeats with the calendar's
@@ -258,10 +232,11 @@ def day_of_week(year: int, month: int, day: int) -> Weekday:
     """
     year = _check_year(year)
     month, day = _check_date(month, day, year)
-    y = year - 1 if month < 3 else year
-    return Weekday(
-        (y + y // 4 - y // 100 + y // 400 + _WEEKDAY_OFFSETS[month - 1] + day) % 7
-    )
+    # Days since the Monday January 1 of year 1, mod 7 (365 days are 52
+    # weeks and a day); this year's leap day counts only after February.
+    y = year if month > 2 else year - 1
+    leap_days = y // 4 - y // 100 + y // 400
+    return Weekday((year - 1 + leap_days + _MONTH_STARTS[month - 1] + day) % 7)
 
 
 _MARCH_21 = 79  # day number of the earliest paschal full moon
@@ -271,13 +246,13 @@ def easter_date(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> CalendarDate:
     """Easter Sunday: the Sunday strictly after the first 14th day of the
     moon falling on or after March 21.
 
-    The full moon is looked up in the year's raw age table and the weekday
-    of March 21 steps on to the Sunday.  The mode argument is accepted for
-    interface symmetry but unused: the pronounced and corrected adjustments
-    touch only January and cannot move the paschal full moon.  The result
-    always lies in March 22 .. April 25.
+    The full moon is looked up in the year's age table for the mode and the
+    weekday of March 21 steps on to the Sunday.  The mode has no effect: it
+    shifts only the first January lunation, days 0..29 - epact, so it
+    cannot move the first 14th day on or after March 21.  The result always
+    lies in March 22 .. April 25.
     """
     year = _check_year(year)
-    full = core._year_ages(year).index(14, _MARCH_21)
+    full = _ages(year, mode).index(14, _MARCH_21)
     weekday = (day_of_week(year, 3, 21) + full - _MARCH_21) % 7
     return _TABLE_DATES[full + 7 - weekday]

@@ -86,6 +86,7 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     ``end`` may run to the recurrence ceiling; checks that need dated
     operations stop at the closed-form ceiling (4,000,000).
     """
+    start, end = core._as_int(start, "start"), core._as_int(end, "end")
     if not core.YEAR_MIN <= start <= end <= recurrence.RECURRENCE_MAX:
         raise ValueError(
             f"need {core.YEAR_MIN} <= start <= end <= "

@@ -12,6 +12,7 @@ from computus import (
     metonic_correction,
     solar_correction,
     solar_sum,
+    verify_range,
 )
 from helpers import (
     brute_lunar_count,
@@ -169,3 +170,16 @@ class _Index:
 )
 def test_index_years_are_used_as_ints(function):
     assert function(_Index(16400)) == function(16400)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda start, end: list(epact_sequence(start, end)), id="epact_sequence"),
+        pytest.param(verify_range, id="verify_range"),
+    ],
+)
+@pytest.mark.parametrize("start, end", [(1600.5, 1602), (1600, 1602.0), (True, 1602), (1600, True)])
+def test_range_bounds_must_be_integers(call, start, end):
+    with pytest.raises(TypeError):
+        call(start, end)

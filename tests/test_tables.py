@@ -103,6 +103,27 @@ def test_age_in_mode_dispatch():
     assert age_in_mode(4200, 1, 30, MoonAgeMode.CORRECTED) == 31
 
 
+@pytest.mark.parametrize("mode", ["pronounced", None])
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        pytest.param(function, args, id=function.__name__)
+        for function, args in (
+            (age_in_mode, (2033, 1, 1)),
+            (year_ages, (4200,)),
+            (year_table, (2033,)),
+            (transition_table, (2033,)),
+            (new_moon_dates, (2033,)),
+            (easter_date, (2033,)),
+        )
+    ],
+)
+def test_mode_must_be_a_member(function, args, mode):
+    # Any other value used to be read as raw, whatever it said.
+    with pytest.raises(TypeError, match="MoonAgeMode"):
+        function(*args, mode)
+
+
 def test_year_ages_match_per_date_functions():
     lengths = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
     for year in (1583, 1945, 1973, 2033, 4200, 8512, 16400):

@@ -3,22 +3,22 @@
 Exit codes: 0 on success, 1 when a verification property fails, 2 on bad
 arguments or out-of-range dates.  When the reader of standard output closes
 it early, the command stops writing and exits 0 without a message.
+
+Tables render straight from the cached class ages, byte for byte as the
+public table objects do under ``json.dumps(indent=2)`` and ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import argparse
-import calendar as _stdcal
-import csv
-import json
+import functools
 import os
 import sys
 
 from . import core, tables, verify
+from .core import _TABLE_DATES
 
-_RED = "\x1b[31m"
-_BLUE = "\x1b[34m"
-_RESET = "\x1b[0m"
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def _parse_date(text: str) -> tuple[int, int, int]:
@@ -43,44 +43,37 @@ def _mode(args: argparse.Namespace) -> tables.MoonAgeMode:
 def _cell(age: int, color: bool) -> str:
     mark = "*" if age == 1 else "^" if age == 14 else ""
     text = f"{age}{mark}".rjust(4)
-    if color and mark:
-        code = _RED if age == 1 else _BLUE
-        return f"{code}{text}{_RESET}"
-    return text
+    code = "\x1b[31m" if age == 1 else "\x1b[34m"  # red new moon, blue full moon
+    return f"{code}{text}\x1b[0m" if color and mark else text
 
 
-def _header_row(label_width: int) -> str:
-    return " " * label_width + "".join(f"{d:>4}" for d in range(1, 32))
+# Output fragments: one string per age (index 0 unused) and one per day, so
+# that a table renders as one join over its class ages.
+_HEADER = "".join(f"{d:>4}" for d in range(1, 32))
+_CELLS = {color: tuple(_cell(age, color) for age in range(32)) for color in (False, True)}
+_LABELS = tuple(f"\n{_MONTH_NAMES[m - 1]:<4}" if d == 1 else "" for m, d in _TABLE_DATES)
+_CSV_DAYS = tuple(f"{m},{d}," for m, d in _TABLE_DATES)
+_CSV_AGES = tuple(f"{age},{int(age == 1)},{int(age == 14)}\n" for age in range(32))
+_JSON_DATES = tuple(f'    {{\n      "month": {m},\n      "day": {d},\n' for m, d in _TABLE_DATES)
+_JSON_AGES = tuple(
+    f'      "age": {age},\n      "new_moon": {str(age == 1).lower()},\n'
+    f'      "full_moon": {str(age == 14).lower()}\n    }}'
+    for age in range(32)
+)
+# Transition JSON items, {day, age} for days 1..31.
+_JSON_DAYS = tuple(f'    {{\n      "day": {d},\n' for d in range(1, 32))
+_JSON_DAY_AGES = tuple(f'      "age": {age}\n    }}' for age in range(32))
 
 
-def _render_year_table(table: tables.YearLunarTable, color: bool) -> str:
-    lines = [f"year {table.year} ({table.mode.value})", _header_row(4)]
-    by_month: dict[int, list[int]] = {}
-    for entry in table.entries:
-        by_month.setdefault(entry.month, []).append(entry.age)
-    for month in range(1, 13):
-        cells = "".join(_cell(age, color) for age in by_month[month])
-        lines.append(f"{_stdcal.month_abbr[month]:<4}" + cells)
-    return "\n".join(lines)
+def _join(sep: str, days: tuple[str, ...], fragments: tuple[str, ...], ages) -> str:
+    return sep.join(map(str.__add__, days, map(fragments.__getitem__, ages)))
 
 
-def _render_transition(table: tables.TransitionTable, color: bool) -> str:
-    dec_label = f"Dec {table.year - 1}"
-    jan_label = f"Jan {table.year}"
-    width = max(len(dec_label), len(jan_label)) + 2
-    lines = [
-        f"December/January boundary of {table.year} ({table.mode.value} January)",
-        _header_row(width),
-        dec_label.ljust(width) + "".join(_cell(a, color) for _, a in table.december),
-        jan_label.ljust(width) + "".join(_cell(a, color) for _, a in table.january),
-    ]
-    return "\n".join(lines)
-
-
-def _write_csv(rows, header) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _json(year: int, mode: tables.MoonAgeMode, **lists: str) -> str:
+    # json.dumps(indent=2) of {year, mode, name: [items], ...}, items rendered.
+    fields = [f'{{\n  "year": {year}', f'  "mode": "{mode.value}"']
+    fields += [f'  "{name}": [\n{items}\n  ]' for name, items in lists.items()]
+    return ",\n".join(fields) + "\n}"
 
 
 def _cmd_epact(args: argparse.Namespace) -> int:
@@ -101,47 +94,50 @@ def _cmd_moon_age(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    table = tables.year_table(args.year, _mode(args))
+    year, mode = core._check_year(args.year), _mode(args)
+    ages = core._ages(year, mode)
     if args.format == "json":
-        print(json.dumps(table.as_dict(), indent=2))
+        print(_json(year, mode, entries=_join(",\n", _JSON_DATES, _JSON_AGES, ages)))
     elif args.format == "csv":
-        _write_csv(
-            (
-                (e.month, e.day, e.age, int(e.is_new_moon), int(e.is_full_moon))
-                for e in table.entries
-            ),
-            tables.CSV_HEADER,
-        )
+        sys.stdout.write(",".join(tables.CSV_HEADER) + "\n" + _join("", _CSV_DAYS, _CSV_AGES, ages))
     else:
-        print(_render_year_table(table, args.color))
+        body = _join("", _LABELS, _CELLS[args.color], ages)
+        print(f"year {year} ({mode.value})", "    " + _HEADER + body, sep="\n")
     return 0
 
 
 def _cmd_transition(args: argparse.Namespace) -> int:
-    table = tables.transition_table(args.year, _mode(args))
+    year, mode = core._check_year(args.year, core.YEAR_MIN + 1), _mode(args)
+    # December is always raw; only January follows the mode.
+    december, january = core._ages(year - 1)[334:], core._ages(year, mode)[:31]
     if args.format == "json":
-        print(json.dumps(table.as_dict(), indent=2))
+        items = [_join(",\n", _JSON_DAYS, _JSON_DAY_AGES, ages) for ages in (december, january)]
+        print(_json(year, mode, december=items[0], january=items[1]))
     elif args.format == "csv":
-        rows = [(table.year - 1, 12, d, a) for d, a in table.december]
-        rows += [(table.year, 1, d, a) for d, a in table.january]
-        _write_csv(rows, ("year", "month", "day", "age"))
+        rows = [f"{year - 1},12,{d},{age}\n" for d, age in enumerate(december, 1)]
+        rows += [f"{year},1,{d},{age}\n" for d, age in enumerate(january, 1)]
+        sys.stdout.write("year,month,day,age\n" + "".join(rows))
     else:
-        print(_render_transition(table, args.color))
+        # "Jan <year>" is never shorter than "Dec <year - 1>".
+        width, cells = len(f"Jan {year}") + 2, _CELLS[args.color].__getitem__
+        print(
+            f"December/January boundary of {year} ({mode.value} January)",
+            " " * width + _HEADER,
+            f"Dec {year - 1}".ljust(width) + "".join(map(cells, december)),
+            f"Jan {year}".ljust(width) + "".join(map(cells, january)),
+            sep="\n",
+        )
     return 0
 
 
 def _cmd_new_moons(args: argparse.Namespace) -> int:
-    dates = tables.new_moon_dates(args.year, _mode(args))
+    year, mode = core._check_year(args.year), _mode(args)
+    ages = core._ages(year, mode)
+    dates = [_iso(year, *date) for date, age in zip(_TABLE_DATES, ages) if age == 1]
     if args.format == "json":
-        payload = {
-            "year": args.year,
-            "mode": args.mode,
-            "dates": [_iso(args.year, m, d) for m, d in dates],
-        }
-        print(json.dumps(payload, indent=2))
+        print(_json(year, mode, dates=",\n".join(f'    "{date}"' for date in dates)))
     else:
-        for month, day in dates:
-            print(_iso(args.year, month, day))
+        print("\n".join(dates))
     return 0
 
 
@@ -181,7 +177,9 @@ def _add_format(parser: argparse.ArgumentParser, choices=("text", "csv", "json")
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and kept: parsing leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="computus",
         description="Age of the ecclesiastical moon in the Gregorian calendar.",

@@ -80,6 +80,13 @@ _TABLE_DATES = tuple(
 _MONTH_STARTS = tuple(n for n, (_, day) in enumerate(_TABLE_DATES) if day == 1)
 
 
+def _weekday(year: int, month: int, day: int) -> int:
+    # Unchecked weekday, 0 for Sunday: days since Monday 1 January of year 1
+    # mod 7 (a year is 52 weeks and a day); a leap day counts after February.
+    y = year if month > 2 else year - 1
+    return (year - 1 + y // 4 - y // 100 + y // 400 + _MONTH_STARTS[month - 1] + day) % 7
+
+
 def golden_number(year: int) -> int:
     """Position of the year in the 19-year Metonic cycle, 1..19."""
     return _check_year(year, ANCHOR_YEAR) % 19 + 1

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import core
 from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, _day_number
-from .core import _CORRECTED, _MONTH_STARTS, _PRONOUNCED, MoonAgeMode, _ages
+from .core import _CORRECTED, _PRONOUNCED, MoonAgeMode, _ages, _weekday
 
 
 def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> int:
@@ -231,12 +231,7 @@ def day_of_week(year: int, month: int, day: int) -> Weekday:
     400-year period.
     """
     year = _check_year(year)
-    month, day = _check_date(month, day, year)
-    # Days since the Monday January 1 of year 1, mod 7 (365 days are 52
-    # weeks and a day); this year's leap day counts only after February.
-    y = year if month > 2 else year - 1
-    leap_days = y // 4 - y // 100 + y // 400
-    return Weekday((year - 1 + leap_days + _MONTH_STARTS[month - 1] + day) % 7)
+    return Weekday(_weekday(year, *_check_date(month, day, year)))
 
 
 _MARCH_21 = 79  # day number of the earliest paschal full moon
@@ -254,5 +249,5 @@ def easter_date(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> CalendarDate:
     """
     year = _check_year(year)
     full = _ages(year, mode).index(14, _MARCH_21)
-    weekday = (day_of_week(year, 3, 21) + full - _MARCH_21) % 7
+    weekday = (_weekday(year, 3, 21) + full - _MARCH_21) % 7
     return _TABLE_DATES[full + 7 - weekday]

@@ -1,8 +1,9 @@
 """Command-line front end: point queries, table emission, verification.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 on bad
-arguments or out-of-range dates.  When the reader of standard output closes
-it early, the command stops writing and exits 0 without a message.
+arguments, out-of-range dates or output that cannot be written (a full disk,
+a closed descriptor).  When the reader of standard output closes it early,
+the command stops writing and exits 0 without a message.
 
 Tables render straight from the cached class ages, byte for byte as the
 public table objects do under ``json.dumps(indent=2)`` and ``csv.writer``.
@@ -34,10 +35,6 @@ def _parse_date(text: str) -> tuple[int, int, int]:
 
 def _iso(year: int, month: int, day: int) -> str:
     return f"{year}-{month:02d}-{day:02d}"
-
-
-def _mode(args: argparse.Namespace) -> tables.MoonAgeMode:
-    return tables.MoonAgeMode(args.mode)
 
 
 def _cell(age: int, color: bool) -> str:
@@ -89,17 +86,17 @@ def _cmd_epact(args: argparse.Namespace) -> int:
 
 def _cmd_moon_age(args: argparse.Namespace) -> int:
     year, month, day = args.date
-    print(tables.age_in_mode(year, month, day, _mode(args)))
+    print(tables.age_in_mode(year, month, day, core.MoonAgeMode(args.mode)))
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    year, mode = core._check_year(args.year), _mode(args)
+    year, mode = core._check_year(args.year), core.MoonAgeMode(args.mode)
     ages = core._ages(year, mode)
     if args.format == "json":
         print(_json(year, mode, entries=_join(",\n", _JSON_DATES, _JSON_AGES, ages)))
     elif args.format == "csv":
-        sys.stdout.write(",".join(tables.CSV_HEADER) + "\n" + _join("", _CSV_DAYS, _CSV_AGES, ages))
+        print(",".join(tables.CSV_HEADER) + "\n" + _join("", _CSV_DAYS, _CSV_AGES, ages), end="")
     else:
         body = _join("", _LABELS, _CELLS[args.color], ages)
         print(f"year {year} ({mode.value})", "    " + _HEADER + body, sep="\n")
@@ -107,16 +104,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_transition(args: argparse.Namespace) -> int:
-    year, mode = core._check_year(args.year, core.YEAR_MIN + 1), _mode(args)
-    # December is always raw; only January follows the mode.
-    december, january = core._ages(year - 1)[334:], core._ages(year, mode)[:31]
+    year, mode = core._check_year(args.year, core.YEAR_MIN + 1), core.MoonAgeMode(args.mode)
+    december, january = core._boundary(year, mode)
     if args.format == "json":
         items = [_join(",\n", _JSON_DAYS, _JSON_DAY_AGES, ages) for ages in (december, january)]
         print(_json(year, mode, december=items[0], january=items[1]))
     elif args.format == "csv":
         rows = [f"{year - 1},12,{d},{age}\n" for d, age in enumerate(december, 1)]
         rows += [f"{year},1,{d},{age}\n" for d, age in enumerate(january, 1)]
-        sys.stdout.write("year,month,day,age\n" + "".join(rows))
+        print("year,month,day,age\n" + "".join(rows), end="")
     else:
         # "Jan <year>" is never shorter than "Dec <year - 1>".
         width, cells = len(f"Jan {year}") + 2, _CELLS[args.color].__getitem__
@@ -131,9 +127,8 @@ def _cmd_transition(args: argparse.Namespace) -> int:
 
 
 def _cmd_new_moons(args: argparse.Namespace) -> int:
-    year, mode = core._check_year(args.year), _mode(args)
-    ages = core._ages(year, mode)
-    dates = [_iso(year, *date) for date, age in zip(_TABLE_DATES, ages) if age == 1]
+    year, mode = args.year, core.MoonAgeMode(args.mode)
+    dates = [_iso(year, *date) for date in tables.new_moon_dates(year, mode)]
     if args.format == "json":
         print(_json(year, mode, dates=",\n".join(f'    "{date}"' for date in dates)))
     else:
@@ -171,12 +166,6 @@ def _add_mode(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format(parser: argparse.ArgumentParser, choices=("text", "csv", "json")) -> None:
-    parser.add_argument(
-        "--format", choices=choices, default="text", help="output format (default text)"
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # Built on first use and kept: parsing leaves the parser unchanged.
@@ -196,25 +185,24 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mode(p)
     p.set_defaults(handler=_cmd_moon_age)
 
-    p = sub.add_parser("table", help="day-by-day lunar table for a year")
-    p.add_argument("year", type=int)
-    _add_mode(p)
-    _add_format(p)
-    p.add_argument("--color", action="store_true", help="ANSI colour in text output")
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("transition", help="December/January ages around a new year")
-    p.add_argument("year", type=int)
-    _add_mode(p)
-    _add_format(p)
-    p.add_argument("--color", action="store_true", help="ANSI colour in text output")
-    p.set_defaults(handler=_cmd_transition)
-
-    p = sub.add_parser("new-moons", help="dates of the year's new moons")
-    p.add_argument("year", type=int)
-    _add_mode(p)
-    _add_format(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_new_moons)
+    # The table commands share a year, a January mode and an output format;
+    # new-moons prints a list of dates, so it has no CSV and no colour.
+    for name, handler, text in (
+        ("table", _cmd_table, "day-by-day lunar table for a year"),
+        ("transition", _cmd_transition, "December/January ages around a new year"),
+        ("new-moons", _cmd_new_moons, "dates of the year's new moons"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("year", type=int)
+        _add_mode(p)
+        grid = name != "new-moons"
+        formats = ("text", "csv", "json") if grid else ("text", "json")
+        p.add_argument(
+            "--format", choices=formats, default="text", help="output format (default text)"
+        )
+        if grid:
+            p.add_argument("--color", action="store_true", help="ANSI colour in text output")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("easter", help="date of Easter Sunday")
     p.add_argument("year", type=int)
@@ -240,12 +228,16 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     try:
         code = main()
+        if sys.stdout is None:  # descriptor 1 was closed at start: print wrote nothing
+            raise OSError("standard output is closed")
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull so that the flush at interpreter exit
-        # cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
+    except OSError as exc:
+        # A reader that closes the pipe early ends the output; it is no error.
+        code = 0 if isinstance(exc, BrokenPipeError) else 2
+        if code:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is not None:  # devnull takes the flush at exit, which cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)
 
 

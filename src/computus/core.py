@@ -97,6 +97,15 @@ def century_number(year: int) -> int:
     return _check_year(year, ANCHOR_YEAR) // 100 + 1
 
 
+def _check_range(value: int, name: str, low: int, high: int) -> int:
+    # Returns the value as a plain int, for callers to use in its place.
+    if type(value) is not int:
+        value = _as_int(value, name)
+    if not low <= value <= high:
+        raise ValueError(f"{name} {value} not in {low}..{high}")
+    return value
+
+
 _ROMAN_ONES = ("", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
 
 
@@ -107,8 +116,7 @@ def epact_label(value: int, special25: bool = False) -> str:
     else as a lowercase Roman numeral with a final i printed as j (so 16 is
     "xvj", not "xvi").
     """
-    if not 0 <= value <= 29:
-        raise ValueError(f"epact value {value} not in 0..29")
+    value = _check_range(value, "epact value", 0, 29)
     if value == 0:
         return "*"
     if special25 and value == 25:
@@ -132,8 +140,8 @@ class Epact:
     special25: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.value <= 29:
-            raise ValueError(f"epact value {self.value} not in 0..29")
+        if type(self.value) is not int or not 0 <= self.value <= 29:
+            object.__setattr__(self, "value", _check_range(self.value, "epact value", 0, 29))
         if self.special25 and self.value != 25:
             raise ValueError("special25 applies only to epact 25")
 
@@ -175,6 +183,8 @@ def lunation_value(x: int) -> int:
     Periodic with period 59: within one period the ages run 1..30 and then
     1..29.
     """
+    if type(x) is not int:
+        x = _as_int(x, "lunation offset")
     if x < 0:
         raise ValueError("lunation offset must be non-negative")
     return (x + x // 59) % 30 + 1
@@ -190,6 +200,8 @@ class LunationBranch(enum.Enum):
 def lunation_branch(epact_value: int, golden: int) -> LunationBranch:
     """SHORT_FIRST for epacts below 25 and for the special 25; LONG_FIRST
     for xxv and above."""
+    epact_value = _check_range(epact_value, "epact value", 0, 29)
+    golden = _check_range(golden, "golden number", 1, 19)
     if epact_value < 25 or (epact_value == 25 and golden >= 12):
         return LunationBranch.SHORT_FIRST
     return LunationBranch.LONG_FIRST
@@ -239,6 +251,12 @@ def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
     else:
         raise TypeError(f"mode must be a MoonAgeMode, got {mode!r}")
     return _class_ages(e, e == 25 and year % 19 + 1 >= 12, shift)
+
+
+def _boundary(year: int, mode: MoonAgeMode = _RAW) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The ages of December 1..31 of the year before, always raw, and of
+    # January 1..31 of a checked year above YEAR_MIN in the mode.
+    return _ages(year - 1)[334:], _ages(year, mode)[:31]
 
 
 def moon_age(year: int, month: int, day: int) -> int:

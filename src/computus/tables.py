@@ -138,15 +138,9 @@ class TransitionTable:
 
 def transition_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> TransitionTable:
     """The 31 + 31 day ages around the December 31 / January 1 boundary."""
-    year = _check_year(year, core.YEAR_MIN + 1)
-    december = year_ages(year - 1)[334:]
-    january = year_ages(year, mode)[:31]
-    return TransitionTable(
-        year,
-        mode,
-        tuple(DayAge(d + 1, a) for d, a in enumerate(december)),
-        tuple(DayAge(d + 1, a) for d, a in enumerate(january)),
-    )
+    year, days = _check_year(year, core.YEAR_MIN + 1), range(1, 32)
+    december, january = (tuple(map(DayAge, days, ages)) for ages in core._boundary(year, mode))
+    return TransitionTable(year, mode, december, january)
 
 
 def new_moon_dates(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[CalendarDate]:

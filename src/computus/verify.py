@@ -2,7 +2,7 @@
 
 One pass of the epact recurrence drives all year-level identity checks;
 day-level checks (age succession, new-year continuity, the Easter window)
-ride along for each year in range, read from the year's epact-class tables.
+ride along, each read from the epact-class tables of its year and the year before.
 
 The sweep accumulates the recurrence itself from the public correction
 predicates, looked up on :mod:`computus.recurrence` every year, rather than
@@ -14,6 +14,7 @@ its cost per year for every other caller.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import core, recurrence, tables
@@ -63,7 +64,7 @@ def _record(check: PropertyCheck, failure: str | None) -> None:
         check.counterexample = failure
 
 
-def _first_bad_step(ages: list[int], resets: tuple[int, ...]) -> int:
+def _first_bad_step(ages: Sequence[int], resets: tuple[int, ...]) -> int:
     """Index of the first day whose step to the next is neither +1 nor a
     reset to 1 from an allowed value; -1 if the whole sequence is fine."""
     for i in range(len(ages) - 1):
@@ -95,10 +96,6 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     dated_end = min(end, core.YEAR_MAX)
     report = VerifyReport(start, end, [PropertyCheck(name, True, 0) for name in _CHECK_NAMES])
     rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east = report.checks
-
-    prev_ages: list[int] | None = None
-    if core.YEAR_MIN < start <= dated_end:
-        prev_ages = tables.year_ages(start - 1)
 
     value = recurrence.ANCHOR_EPACT
     solar_total = 0
@@ -137,21 +134,19 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         _record(succ, None if bad < 0 else
                 f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
 
-        if prev_ages is not None:
-            january = tables.year_ages(year, tables.MoonAgeMode.CORRECTED)[:31]
-            boundary = prev_ages[334:] + january
+        if year > core.YEAR_MIN:
+            december, january = core._boundary(year, core.MoonAgeMode.CORRECTED)
+            boundary = december + january
             bad = _first_bad_step(boundary, _corrected_resets(year_jump))
             _record(csucc, None if bad < 0 else
                     f"year {year}: boundary day {bad} age {boundary[bad]} "
                     f"then {boundary[bad + 1]}")
-            dec31 = prev_ages[364]
+            dec31 = december[-1]
             _record(cont, None if (january[0] - dec31 - 1) % 30 == 0 else
                     f"year {year}: Dec 31 age {dec31}, corrected Jan 1 {january[0]}")
 
         em, ed = tables.easter_date(year)
         _record(east, None if (3, 22) <= (em, ed) <= (4, 25) else
                 f"year {year}: easter {em:02d}-{ed:02d}")
-
-        prev_ages = ages
 
     return report

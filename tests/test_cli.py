@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -236,3 +237,45 @@ def test_broken_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == b""
+
+
+class _FullStdout:
+    """Standard output on a full disk: every write fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+def test_output_error_exits_2(capsys, monkeypatch, tmp_path):
+    # run points the descriptor behind stdout at devnull; give it one of ours.
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "argv", ["computus", "easter", "2033"])
+    monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+    finally:
+        os.close(fd)
+    assert exc.value.code == 2
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: cannot write output: {reason}\n"
+
+
+def test_closed_stdout_exits_2():
+    src = str(Path(computus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "computus.cli", "verify", "--from", "1583", "--to", "1600"],
+        preexec_fn=lambda: os.close(1),  # the child starts with no descriptor 1
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write output: standard output is closed\n"

@@ -245,3 +245,34 @@ def test_index_types_accepted_as_plain_ints():
     assert type(year_table(_Index(2033)).year) is int
     assert type(transition_table(_Index(2033)).year) is int
     assert new_moon_dates(_Index(2033)) == new_moon_dates(2033)
+
+
+@pytest.mark.parametrize(
+    "function, args, error, message",
+    [
+        (lunation_value, (1.5,), TypeError, "integer"),
+        (lunation_value, (True,), TypeError, "integer"),
+        (lunation_branch, (25.0, 12), TypeError, "integer"),
+        (lunation_branch, (25, 12.0), TypeError, "integer"),
+        (lunation_branch, (False, 12), TypeError, "integer"),
+        (lunation_branch, (40, 12), ValueError, "epact value 40 not in 0..29"),
+        (lunation_branch, (-1, 12), ValueError, "epact value -1 not in 0..29"),
+        (lunation_branch, (16, 99), ValueError, "golden number 99 not in 1..19"),
+        (lunation_branch, (16, 0), ValueError, "golden number 0 not in 1..19"),
+        (Epact, (3.5,), TypeError, "integer"),
+        (Epact, (True,), TypeError, "integer"),
+        (epact_label, (3.0,), TypeError, "integer"),
+        (epact_label, (True,), TypeError, "integer"),
+    ],
+)
+def test_kernel_inputs_checked(function, args, error, message):
+    with pytest.raises(error, match=message):
+        function(*args)
+
+
+def test_kernel_index_inputs_are_plain_ints():
+    assert lunation_value(_Index(30)) == 1
+    assert lunation_branch(_Index(25), _Index(12)) is LunationBranch.SHORT_FIRST
+    assert epact_label(_Index(16)) == "xvj"
+    e = Epact(_Index(25), True)
+    assert e == Epact(25, True) and type(e.value) is int

@@ -120,6 +120,16 @@ def test_injected_shifted_january_fault_is_caught(monkeypatch):
         assert years == 117 and counterexample.startswith("year 1596:")
 
 
+def test_injected_december_fault_is_caught_at_range_start(monkeypatch):
+    # 1599 has epact 4 and 1600 epact 15: a 1600..1600 sweep reads the
+    # raw table of class 4 only for the December before its first year
+    _corrupt_class_table(monkeypatch, (4, False, 0), 364)
+    failing = _failing(verify_range(1600, 1600))
+    assert set(failing) == {"new year continuity", "corrected December-January succession"}
+    for years, counterexample in failing.values():
+        assert years == 1 and counterexample.startswith("year 1600:")
+
+
 def test_range_across_dated_ceiling():
     report = verify_range(3_999_990, 4_000_050)
     assert report.ok, report.failures

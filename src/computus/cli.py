@@ -166,10 +166,15 @@ def _add_mode(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse's own writer drops write errors
+        print(self.format_help(), end="", file=file)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # Built on first use and kept: parsing leaves the parser unchanged.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="computus",
         description="Age of the ecclesiastical moon in the Gregorian calendar.",
     )
@@ -227,7 +232,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # help and usage errors: their output is checked below
+            code = exc.code
         if sys.stdout is None:  # descriptor 1 was closed at start: print wrote nothing
             raise OSError("standard output is closed")
         sys.stdout.flush()

@@ -106,7 +106,7 @@ def _check_range(value: int, name: str, low: int, high: int) -> int:
     return value
 
 
-_ROMAN_ONES = ("", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
+_ROMAN_ONES = ("", "j", "ij", "iij", "iv", "v", "vj", "vij", "viij", "ix")
 
 
 def epact_label(value: int, special25: bool = False) -> str:
@@ -117,14 +117,13 @@ def epact_label(value: int, special25: bool = False) -> str:
     "xvj", not "xvi").
     """
     value = _check_range(value, "epact value", 0, 29)
+    if type(special25) is not bool:
+        raise TypeError(f"special25 must be a bool, not {type(special25).__name__}")
     if value == 0:
         return "*"
     if special25 and value == 25:
         return "25"
-    numeral = "x" * (value // 10) + _ROMAN_ONES[value % 10]
-    if numeral.endswith("i"):
-        numeral = numeral[:-1] + "j"
-    return numeral
+    return "x" * (value // 10) + _ROMAN_ONES[value % 10]
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,8 @@ class Epact:
     def __post_init__(self) -> None:
         if type(self.value) is not int or not 0 <= self.value <= 29:
             object.__setattr__(self, "value", _check_range(self.value, "epact value", 0, 29))
+        if type(self.special25) is not bool:
+            raise TypeError(f"special25 must be a bool, not {type(self.special25).__name__}")
         if self.special25 and self.value != 25:
             raise ValueError("special25 applies only to epact 25")
 

@@ -207,14 +207,9 @@ def martyrology_letter(e: Epact, letters: LetterMap | None = None) -> Martyrolog
     return MartyrologyLetter(letters.symbols[e.value], False)
 
 
-class Weekday(enum.IntEnum):
-    SUNDAY = 0
-    MONDAY = 1
-    TUESDAY = 2
-    WEDNESDAY = 3
-    THURSDAY = 4
-    FRIDAY = 5
-    SATURDAY = 6
+Weekday = enum.IntEnum(
+    "Weekday", "SUNDAY MONDAY TUESDAY WEDNESDAY THURSDAY FRIDAY SATURDAY", start=0
+)
 
 
 def day_of_week(year: int, month: int, day: int) -> Weekday:

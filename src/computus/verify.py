@@ -3,6 +3,8 @@
 One pass of the epact recurrence drives all year-level identity checks;
 day-level checks (age succession, new-year continuity, the Easter window)
 ride along, each read from the epact-class tables of its year and the year before.
+A step check is a pure function of the ages it walks, so a sweep walks each
+distinct sequence once, keyed by its ages, not its class: a one-year fault still shows.
 
 The sweep accumulates the recurrence itself from the public correction
 predicates, looked up on :mod:`computus.recurrence` every year, rather than
@@ -14,6 +16,7 @@ its cost per year for every other caller.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -85,7 +88,8 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     """Check every published identity and structural property over a range.
 
     ``end`` may run to the recurrence ceiling; checks that need dated
-    operations stop at the closed-form ceiling (4,000,000).
+    operations stop at the closed-form ceiling (4,000,000).  An age sequence
+    is walked only in the first year reading it, its first failing year if any.
     """
     start, end = core._as_int(start, "start"), core._as_int(end, "end")
     if not core.YEAR_MIN <= start <= end <= recurrence.RECURRENCE_MAX:
@@ -96,6 +100,7 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     dated_end = min(end, core.YEAR_MAX)
     report = VerifyReport(start, end, [PropertyCheck(name, True, 0) for name in _CHECK_NAMES])
     rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east = report.checks
+    first_bad_step = functools.cache(_first_bad_step)  # keyed by (ages, resets)
 
     value = recurrence.ANCHOR_EPACT
     solar_total = 0
@@ -129,15 +134,15 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         if year > dated_end:
             continue
 
-        ages = tables.year_ages(year)
-        bad = _first_bad_step(ages, (29, 30))
+        ages = core._ages(year)
+        bad = first_bad_step(ages, (29, 30))
         _record(succ, None if bad < 0 else
                 f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
 
         if year > core.YEAR_MIN:
             december, january = core._boundary(year, core.MoonAgeMode.CORRECTED)
             boundary = december + january
-            bad = _first_bad_step(boundary, _corrected_resets(year_jump))
+            bad = first_bad_step(boundary, _corrected_resets(year_jump))
             _record(csucc, None if bad < 0 else
                     f"year {year}: boundary day {bad} age {boundary[bad]} "
                     f"then {boundary[bad + 1]}")

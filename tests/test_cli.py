@@ -239,6 +239,48 @@ def test_broken_pipe_exits_quietly():
     assert proc.stderr == b""
 
 
+def _console(*argv, **env):
+    # The CLI in a fresh interpreter, importing this checkout's package.
+    src = str(Path(computus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=path, **env).items() if v is not None}
+    return [sys.executable, "-m", "computus.cli", *argv], env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "command"])
+def test_help_to_full_device_exits_2(argv, unbuffered):
+    # argparse drops write errors of its own help; unbuffered, the write
+    # fails at once, buffered, at the final flush.
+    command, env = _console(*argv, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 2
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert proc.stderr.decode() == f"error: cannot write output: {reason}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_help_into_closed_pipe_exits_quietly(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    command, env = _console("--help", PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+def test_help_text_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli._build_parser().format_help()
+
+
 class _FullStdout:
     """Standard output on a full disk: every write fails."""
 

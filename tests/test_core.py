@@ -270,6 +270,16 @@ def test_kernel_inputs_checked(function, args, error, message):
         function(*args)
 
 
+@pytest.mark.parametrize("flag", ["no", "", 1, 0, None, 25.0])
+def test_special25_must_be_a_bool(flag):
+    # A truthy string used to build an Epact unequal to Epact(25, True) that
+    # still labelled as "25"; a falsy one passed as plain xxv.
+    with pytest.raises(TypeError, match="special25 must be a bool"):
+        Epact(25, flag)
+    with pytest.raises(TypeError, match="special25 must be a bool"):
+        epact_label(25, flag)
+
+
 def test_kernel_index_inputs_are_plain_ints():
     assert lunation_value(_Index(30)) == 1
     assert lunation_branch(_Index(25), _Index(12)) is LunationBranch.SHORT_FIRST

@@ -130,6 +130,22 @@ def test_injected_december_fault_is_caught_at_range_start(monkeypatch):
         assert years == 1 and counterexample.startswith("year 1600:")
 
 
+def test_fault_in_one_year_of_a_class_is_caught(monkeypatch):
+    # The memo is keyed by the ages walked, not by epact class: 1650 shares
+    # its class with earlier years of the range, but its own table is wrong.
+    real = core._ages
+
+    def ages(year, mode=core.MoonAgeMode.RAW):
+        table = real(year, mode)
+        if year != 1650 or mode is not core.MoonAgeMode.RAW:
+            return table
+        return table[:200] + (table[200] % 30 + 1,) + table[201:]
+
+    monkeypatch.setattr(core, "_ages", ages)
+    failing = _failing(verify_range(1583, 1700))
+    assert failing == {"raw age succession": (118, "year 1650: day 199 age 20 then 22")}
+
+
 def test_range_across_dated_ceiling():
     report = verify_range(3_999_990, 4_000_050)
     assert report.ok, report.failures

@@ -236,9 +236,10 @@ def run() -> None:
             code = main()
         except SystemExit as exc:  # help and usage errors: their output is checked below
             code = exc.code
-        if sys.stdout is None:  # descriptor 1 was closed at start: print wrote nothing
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        elif code != 2:  # descriptor 1 was closed at start; exit 2 already said why on stderr
             raise OSError("standard output is closed")
-        sys.stdout.flush()
     except OSError as exc:
         # A reader that closes the pipe early ends the output; it is no error.
         code = 0 if isinstance(exc, BrokenPipeError) else 2

@@ -254,10 +254,14 @@ def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
     return _class_ages(e, e == 25 and year % 19 + 1 >= 12, shift)
 
 
+def _window(before: tuple[int, ...], ages: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # December 1..31 of one year's ages and January 1..31 of the next's.
+    return before[334:], ages[:31]
+
+
 def _boundary(year: int, mode: MoonAgeMode = _RAW) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # The ages of December 1..31 of the year before, always raw, and of
-    # January 1..31 of a checked year above YEAR_MIN in the mode.
-    return _ages(year - 1)[334:], _ages(year, mode)[:31]
+    # Raw December of the year before and January of a checked year above YEAR_MIN in the mode.
+    return _window(_ages(year - 1), _ages(year, mode))
 
 
 def moon_age(year: int, month: int, day: int) -> int:

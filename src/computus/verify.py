@@ -3,8 +3,9 @@
 One pass of the epact recurrence drives all year-level identity checks;
 day-level checks (age succession, new-year continuity, the Easter window)
 ride along, each read from the epact-class tables of its year and the year before.
-A step check is a pure function of the ages it walks, so a sweep walks each
-distinct sequence once, keyed by its ages, not its class: a one-year fault still shows.
+A step check is a pure function of the tables it reads, so a sweep walks each
+table, and each December/January pair with its jump, once, keyed by identity: the
+sweep holds what it keys, so no id recurs in a call and a fresh table is walked.
 
 The sweep accumulates the recurrence itself from the public correction
 predicates, looked up on :mod:`computus.recurrence` every year, rather than
@@ -16,7 +17,6 @@ its cost per year for every other caller.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -59,12 +59,10 @@ _CHECK_NAMES = (
 )
 
 
-def _record(check: PropertyCheck, failure: str | None) -> None:
-    # Counts one year; the first failure is the check's counterexample.
-    check.years_checked += 1
-    if failure is not None and check.ok:
-        check.ok = False
-        check.counterexample = failure
+def _fail(check: PropertyCheck, counterexample: str) -> None:
+    # The first failure is the check's counterexample.
+    if check.ok:
+        check.ok, check.counterexample = False, counterexample
 
 
 def _first_bad_step(ages: Sequence[int], resets: tuple[int, ...]) -> int:
@@ -88,8 +86,8 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     """Check every published identity and structural property over a range.
 
     ``end`` may run to the recurrence ceiling; checks that need dated
-    operations stop at the closed-form ceiling (4,000,000).  An age sequence
-    is walked only in the first year reading it, its first failing year if any.
+    operations stop at the closed-form ceiling (4,000,000).  A check covers each
+    year it applies to, walked or a memo hit, so its count follows from the range.
     """
     start, end = core._as_int(start, "start"), core._as_int(end, "end")
     if not core.YEAR_MIN <= start <= end <= recurrence.RECURRENCE_MAX:
@@ -98,13 +96,15 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
             f"{recurrence.RECURRENCE_MAX}, got {start}..{end}"
         )
     dated_end = min(end, core.YEAR_MAX)
-    report = VerifyReport(start, end, [PropertyCheck(name, True, 0) for name in _CHECK_NAMES])
-    rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east = report.checks
-    first_bad_step = functools.cache(_first_bad_step)  # keyed by (ages, resets)
+    dated = max(0, dated_end - start + 1)
+    boundary = dated - (start == core.YEAR_MIN)  # 1583 has no December before it
+    counts = (end - start + 1,) * 5 + (dated, boundary, boundary, dated)
+    checks = [PropertyCheck(name, True, n) for name, n in zip(_CHECK_NAMES, counts)]
+    rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east = checks
+    walked: dict = {}  # key -> the tables it names, held so that no id is reused
 
     value = recurrence.ANCHOR_EPACT
-    solar_total = 0
-    lunar_total = 0
+    solar_total = lunar_total = 0
     for year in range(core.YEAR_MIN, end + 1):
         m = recurrence.metonic_correction(year)
         s = recurrence.solar_correction(year)
@@ -116,42 +116,47 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
             continue
 
         closed = core._epact_value(year)
-        _record(rec, None if closed == value else
-                f"year {year}: closed form {closed}, recurrence {value}")
+        if closed != value:
+            _fail(rec, f"year {year}: closed form {closed}, recurrence {value}")
         solar = recurrence.solar_sum(year)
-        _record(ssum, None if solar == solar_total else
-                f"year {year}: solar_sum {solar}, accumulated {solar_total}")
+        if solar != solar_total:
+            _fail(ssum, f"year {year}: solar_sum {solar}, accumulated {solar_total}")
         lunar = recurrence.lunar_sum(year)
-        _record(lsum, None if lunar == lunar_total else
-                f"year {year}: lunar_sum {lunar}, accumulated {lunar_total}")
+        if lunar != lunar_total:
+            _fail(lsum, f"year {year}: lunar_sum {lunar}, accumulated {lunar_total}")
         alt = recurrence.lunar_sum_alt(year)
-        _record(lalt, None if alt == lunar else
-                f"year {year}: lunar_sum {lunar}, alternate form {alt}")
+        if alt != lunar:
+            _fail(lalt, f"year {year}: lunar_sum {lunar}, alternate form {alt}")
         year_jump = recurrence.jump(year)
-        _record(jdec, None if year_jump == m - s + lun else
-                f"year {year}: jump {year_jump}, corrections give {m - s + lun}")
+        if year_jump != m - s + lun:
+            _fail(jdec, f"year {year}: jump {year_jump}, corrections give {m - s + lun}")
 
         if year > dated_end:
             continue
 
         ages = core._ages(year)
-        bad = first_bad_step(ages, (29, 30))
-        _record(succ, None if bad < 0 else
-                f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
+        if id(ages) not in walked:
+            walked[id(ages)] = ages
+            bad = _first_bad_step(ages, (29, 30))
+            if bad >= 0:
+                _fail(succ, f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
 
         if year > core.YEAR_MIN:
-            december, january = core._boundary(year, core.MoonAgeMode.CORRECTED)
-            boundary = december + january
-            bad = first_bad_step(boundary, _corrected_resets(year_jump))
-            _record(csucc, None if bad < 0 else
-                    f"year {year}: boundary day {bad} age {boundary[bad]} "
-                    f"then {boundary[bad + 1]}")
-            dec31 = december[-1]
-            _record(cont, None if (january[0] - dec31 - 1) % 30 == 0 else
-                    f"year {year}: Dec 31 age {dec31}, corrected Jan 1 {january[0]}")
+            pair = core._ages(year - 1), core._ages(year, core._CORRECTED)
+            key = (id(pair[0]), id(pair[1]), year_jump)
+            if key not in walked:
+                walked[key] = pair
+                dec, jan = core._window(*pair)
+                window = dec + jan
+                bad = _first_bad_step(window, _corrected_resets(year_jump))
+                if bad >= 0:
+                    _fail(csucc, f"year {year}: boundary day {bad} age {window[bad]} "
+                          f"then {window[bad + 1]}")
+                if (jan[0] - dec[-1] - 1) % 30:
+                    _fail(cont, f"year {year}: Dec 31 age {dec[-1]}, corrected Jan 1 {jan[0]}")
 
         em, ed = tables.easter_date(year)
-        _record(east, None if (3, 22) <= (em, ed) <= (4, 25) else
-                f"year {year}: easter {em:02d}-{ed:02d}")
+        if not (3, 22) <= (em, ed) <= (4, 25):
+            _fail(east, f"year {year}: easter {em:02d}-{ed:02d}")
 
-    return report
+    return VerifyReport(start, end, checks)

@@ -321,3 +321,32 @@ def test_closed_stdout_exits_2():
     )
     assert proc.returncode == 2
     assert proc.stderr == b"error: cannot write output: standard output is closed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["easter", "1"], "error: year 1 not in supported range 1583..4000000\n"),
+        (["table", "abc"], "computus table: error: argument year: invalid int value: 'abc'\n"),
+    ],
+    ids=["value", "usage"],
+)
+def test_input_error_with_closed_stdout_reports_once(argv, message):
+    # Nothing was to be written to the closed descriptor 1, so the input
+    # error is the one message.
+    command, env = _console(*argv)
+    proc = subprocess.run(
+        command, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, env=env, timeout=60
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().endswith(message)
+    assert proc.stderr.count(b"error:") == 1
+
+
+def test_help_with_closed_stdout_exits_2():
+    command, env = _console("--help")
+    proc = subprocess.run(
+        command, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, env=env, timeout=60
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write output: standard output is closed\n"

@@ -23,12 +23,9 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "
 
 
 def _parse_date(text: str) -> tuple[int, int, int]:
-    parts = text.split("-")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected year-month-day, got {text!r}")
     try:
-        year, month, day = (int(p) for p in parts)
-    except ValueError:
+        year, month, day = map(int, text.split("-"))
+    except ValueError:  # not three parts, or a part that is not an integer
         raise argparse.ArgumentTypeError(f"expected year-month-day, got {text!r}") from None
     return year, month, day
 

@@ -158,11 +158,16 @@ def _epact_value(year: int) -> int:
     return (11 * g - 3 * c // 4 + (8 * c + 5) // 25 + 27) % 30
 
 
+def _special25(e: int, golden: int) -> bool:
+    # The Arabic 25, read in place of xxv when the golden number is 12 or more.
+    return e == 25 and golden >= 12
+
+
 def epact(year: int) -> Epact:
     """Epact of the year by the closed form, with the special-25 flag set."""
     year = _check_year(year)
     value = _epact_value(year)
-    return Epact(value, value == 25 and year % 19 + 1 >= 12)
+    return Epact(value, _special25(value, year % 19 + 1))
 
 
 def day_number(month: int, day: int) -> int:
@@ -200,10 +205,10 @@ class LunationBranch(enum.Enum):
 
 def lunation_branch(epact_value: int, golden: int) -> LunationBranch:
     """SHORT_FIRST for epacts below 25 and for the special 25; LONG_FIRST
-    for xxv and above."""
+    for xxv and above.  The year's class table follows it."""
     epact_value = _check_range(epact_value, "epact value", 0, 29)
     golden = _check_range(golden, "golden number", 1, 19)
-    if epact_value < 25 or (epact_value == 25 and golden >= 12):
+    if epact_value < 25 or _special25(epact_value, golden):
         return LunationBranch.SHORT_FIRST
     return LunationBranch.LONG_FIRST
 
@@ -232,9 +237,9 @@ class MoonAgeMode(enum.Enum):
 _RAW, _PRONOUNCED, _CORRECTED = MoonAgeMode
 
 
-def _jump(year: int) -> int:
-    # Unchecked: recurrence.jump checks the year up to the recurrence ceiling.
-    return (_epact_value(year) - _epact_value(year - 1)) % 30 - 11
+def _jump(year: int, e: int) -> int:
+    # e is the year's own epact.  Unchecked: recurrence.jump checks the year.
+    return (e - _epact_value(year - 1)) % 30 - 11
 
 
 def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
@@ -246,12 +251,12 @@ def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
     if mode is _RAW:
         shift = 0
     elif mode is _CORRECTED:
-        shift = _jump(year)
+        shift = _jump(year, e)
     elif mode is _PRONOUNCED:
         shift = 1 if year % 19 == 0 and e > 0 else 0
     else:
         raise TypeError(f"mode must be a MoonAgeMode, got {mode!r}")
-    return _class_ages(e, e == 25 and year % 19 + 1 >= 12, shift)
+    return _class_ages(e, _special25(e, year % 19 + 1), shift)
 
 
 def _window(before: tuple[int, ...], ages: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -264,13 +269,16 @@ def _boundary(year: int, mode: MoonAgeMode = _RAW) -> tuple[tuple[int, ...], tup
     return _window(_ages(year - 1), _ages(year, mode))
 
 
+def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = _RAW) -> int:
+    """The raw, pronounced, or corrected age, read from the year's table."""
+    year = _check_year(year)
+    return _ages(year, mode)[_day_number(*_check_date(month, day, year))]
+
+
 def moon_age(year: int, month: int, day: int) -> int:
     """Age of the ecclesiastical moon on the given date, 1..30.
 
-    This is the uncorrected age: Januaries of correction years may skip or
-    repeat a day relative to the previous December (see
-    :mod:`computus.tables` for the pronounced and corrected variants).  It
-    is read from the year's epact-class table.
+    This is the raw age of :func:`age_in_mode`: Januaries of correction
+    years may skip or repeat a day relative to the previous December.
     """
-    year = _check_year(year)
-    return _ages(year)[_day_number(*_check_date(month, day, year))]
+    return age_in_mode(year, month, day)

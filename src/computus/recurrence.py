@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _jump
+from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _epact_value, _jump, _special25
 
 RECURRENCE_MAX = 10_000_000
 
@@ -65,18 +65,21 @@ def correction_flags(year: int) -> CorrectionFlags:
     return CorrectionFlags(_metonic(year), _solar(year), _lunar(year))
 
 
+def _check_span(start: int, end: int, minimum: int) -> tuple[int, int]:
+    # Both bounds as plain ints, checked against minimum and RECURRENCE_MAX.
+    start, end = _as_int(start, "start"), _as_int(end, "end")
+    if not minimum <= start <= end <= RECURRENCE_MAX:
+        raise ValueError(f"need {minimum} <= start <= end <= {RECURRENCE_MAX}, got {start}..{end}")
+    return start, end
+
+
 def epact_sequence(start: int, end: int) -> Iterator[tuple[int, int]]:
     """Yield (year, epact value) for start..end by running the recurrence once.
 
     Use this for sweeps; calling :func:`epact_by_recurrence` per year would
     restart the iteration from 1582 every time.
     """
-    start, end = _as_int(start, "start"), _as_int(end, "end")
-    if not ANCHOR_YEAR <= start <= end <= RECURRENCE_MAX:
-        raise ValueError(
-            f"need {ANCHOR_YEAR} <= start <= end <= {RECURRENCE_MAX}, "
-            f"got {start}..{end}"
-        )
+    start, end = _check_span(start, end, ANCHOR_YEAR)
     value = ANCHOR_EPACT
     if start == ANCHOR_YEAR:
         yield ANCHOR_YEAR, value
@@ -93,7 +96,7 @@ def epact_by_recurrence(year: int) -> Epact:
     """
     year = _check_year(year, ANCHOR_YEAR, RECURRENCE_MAX)
     [(_, value)] = epact_sequence(year, year)
-    return Epact(value, value == 25 and year % 19 + 1 >= 12)
+    return Epact(value, _special25(value, year % 19 + 1))
 
 
 def solar_sum(year: int) -> int:
@@ -129,4 +132,5 @@ def jump(year: int) -> int:
     A nonzero jump makes the age skip, double, or stall across the
     December 31 / January 1 boundary.
     """
-    return _jump(_check_year(year, maximum=RECURRENCE_MAX))
+    year = _check_year(year, maximum=RECURRENCE_MAX)
+    return _jump(year, _epact_value(year))

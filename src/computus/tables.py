@@ -8,20 +8,13 @@ lists, Martyrology letters, and the date of Easter.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from . import core
-from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, _day_number
+from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, age_in_mode
 from .core import _CORRECTED, _PRONOUNCED, MoonAgeMode, _ages, _weekday
-
-
-def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> int:
-    """The raw, pronounced, or corrected age, read from the year's table."""
-    year = _check_year(year)
-    return _ages(year, mode)[_day_number(*_check_date(month, day, year))]
 
 
 def pronounced_age(year: int, month: int, day: int) -> int:
@@ -177,6 +170,7 @@ def load_letter_map(path: str | Path | None = None) -> LetterMap:
     """
     if path is None:
         return _LETTERS
+    import json  # only a custom letter file needs it, so most commands never load it
     try:
         raw = json.loads(Path(path).read_text("utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON

@@ -89,12 +89,7 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     operations stop at the closed-form ceiling (4,000,000).  A check covers each
     year it applies to, walked or a memo hit, so its count follows from the range.
     """
-    start, end = core._as_int(start, "start"), core._as_int(end, "end")
-    if not core.YEAR_MIN <= start <= end <= recurrence.RECURRENCE_MAX:
-        raise ValueError(
-            f"need {core.YEAR_MIN} <= start <= end <= "
-            f"{recurrence.RECURRENCE_MAX}, got {start}..{end}"
-        )
+    start, end = recurrence._check_span(start, end, core.YEAR_MIN)
     dated_end = min(end, core.YEAR_MAX)
     dated = max(0, dated_end - start + 1)
     boundary = dated - (start == core.YEAR_MIN)  # 1583 has no December before it

@@ -350,3 +350,14 @@ def test_help_with_closed_stdout_exits_2():
     )
     assert proc.returncode == 2
     assert proc.stderr == b"error: cannot write output: standard output is closed\n"
+
+
+def test_cli_import_leaves_json_unloaded():
+    # -S keeps site's own imports out; only a custom --letters file needs json.
+    _, env = _console()
+    code = "import sys, computus.cli; print('json' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"

@@ -2,6 +2,7 @@
 classical Easter oracle."""
 
 from computus import (
+    LunationBranch,
     MoonAgeMode,
     age_in_mode,
     corrected_age,
@@ -10,6 +11,7 @@ from computus import (
     epact,
     is_leap_year,
     jump,
+    lunation_branch,
     moon_age,
     pronounced_age,
     year_ages,
@@ -81,3 +83,15 @@ def test_kernel_cache_is_keyed_by_class_not_year():
     # 31 epact classes times January shifts -1..2 at most; a year in the key
     # would leave tens of thousands of tables here.
     assert 31 <= _class_ages.cache_info().currsize <= 124
+
+
+def test_class_tables_follow_lunation_branch():
+    # The lunation after the first January one starts on day 30 - e; it is
+    # the 29-day one exactly when the branch is SHORT_FIRST.
+    for e, special25 in [(e, False) for e in range(30)] + [(25, True)]:
+        golden = 12 if special25 else 11 if e == 25 else 1
+        ages = _class_ages(e, special25, 0)
+        start = 30 - e
+        assert ages[start] == 1, (e, special25)
+        short = lunation_branch(e, golden) is LunationBranch.SHORT_FIRST
+        assert ages.index(1, start + 1) - start == (29 if short else 30), (e, special25)

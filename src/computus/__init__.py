@@ -2,117 +2,19 @@
 
 Epacts by closed form and by recurrence, raw / pronounced / corrected moon
 ages, year and new-year transition tables, Martyrology letters, and the
-date of Easter.
+date of Easter.  Each public name is in the ``__all__`` of its own module.
 """
 
-from .core import (
-    ANCHOR_YEAR,
-    YEAR_MAX,
-    YEAR_MIN,
-    CalendarDate,
-    Epact,
-    LunationBranch,
-    century_number,
-    day_number,
-    epact,
-    epact_label,
-    golden_number,
-    is_leap_year,
-    lunation_branch,
-    lunation_value,
-    moon_age,
-)
-from .recurrence import (
-    ANCHOR_EPACT,
-    RECURRENCE_MAX,
-    CorrectionFlags,
-    correction_flags,
-    epact_by_recurrence,
-    epact_sequence,
-    jump,
-    lunar_correction,
-    lunar_sum,
-    lunar_sum_alt,
-    metonic_correction,
-    solar_correction,
-    solar_sum,
-)
-from .tables import (
-    CSV_HEADER,
-    DayAge,
-    DayEntry,
-    LetterMap,
-    MartyrologyLetter,
-    MoonAgeMode,
-    TransitionTable,
-    Weekday,
-    YearLunarTable,
-    age_in_mode,
-    corrected_age,
-    day_of_week,
-    easter_date,
-    load_letter_map,
-    martyrology_letter,
-    new_moon_dates,
-    pronounced_age,
-    transition_table,
-    year_ages,
-    year_table,
-)
-from .verify import PropertyCheck, VerifyReport, verify_range
+from . import core, recurrence, tables, verify
+from .core import *
+from .recurrence import *
+from .tables import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANCHOR_EPACT",
-    "ANCHOR_YEAR",
-    "CSV_HEADER",
-    "CalendarDate",
-    "CorrectionFlags",
-    "DayAge",
-    "DayEntry",
-    "Epact",
-    "LetterMap",
-    "LunationBranch",
-    "MartyrologyLetter",
-    "MoonAgeMode",
-    "PropertyCheck",
-    "RECURRENCE_MAX",
-    "TransitionTable",
-    "VerifyReport",
-    "Weekday",
-    "YEAR_MAX",
-    "YEAR_MIN",
-    "YearLunarTable",
-    "age_in_mode",
-    "century_number",
-    "corrected_age",
-    "correction_flags",
-    "day_number",
-    "day_of_week",
-    "easter_date",
-    "epact",
-    "epact_by_recurrence",
-    "epact_label",
-    "epact_sequence",
-    "golden_number",
-    "is_leap_year",
-    "jump",
-    "load_letter_map",
-    "lunar_correction",
-    "lunar_sum",
-    "lunar_sum_alt",
-    "lunation_branch",
-    "lunation_value",
-    "martyrology_letter",
-    "metonic_correction",
-    "moon_age",
-    "new_moon_dates",
-    "pronounced_age",
-    "solar_correction",
-    "solar_sum",
-    "transition_table",
-    "verify_range",
-    "year_ages",
-    "year_table",
-]
+__all__: list[str] = []
+__all__ += core.__all__
+__all__ += recurrence.__all__
+__all__ += tables.__all__
+__all__ += verify.__all__

@@ -72,8 +72,7 @@ def _json(year: int, mode: tables.MoonAgeMode, **lists: str) -> str:
 
 def _cmd_epact(args: argparse.Namespace) -> int:
     e = core.epact(args.year)
-    letters = tables.load_letter_map(args.letters) if args.letters else None
-    letter = tables.martyrology_letter(e, letters)
+    letter = tables.martyrology_letter(e, tables.load_letter_map(args.letters))
     print(
         f"epact {e.label} ({e.value}), golden {core.golden_number(args.year)}, "
         f"century {core.century_number(args.year)}, letter {letter.symbol}"

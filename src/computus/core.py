@@ -18,6 +18,26 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
+__all__ = [
+    "ANCHOR_YEAR",
+    "YEAR_MAX",
+    "YEAR_MIN",
+    "CalendarDate",
+    "Epact",
+    "LunationBranch",
+    "MoonAgeMode",
+    "age_in_mode",
+    "century_number",
+    "day_number",
+    "epact",
+    "epact_label",
+    "golden_number",
+    "is_leap_year",
+    "lunation_branch",
+    "lunation_value",
+    "moon_age",
+]
+
 YEAR_MIN = 1583
 YEAR_MAX = 4_000_000
 
@@ -109,23 +129,6 @@ def _check_range(value: int, name: str, low: int, high: int) -> int:
 _ROMAN_ONES = ("", "j", "ij", "iij", "iv", "v", "vj", "vij", "viij", "ix")
 
 
-def epact_label(value: int, special25: bool = False) -> str:
-    """Liturgical rendering of an epact value.
-
-    0 renders as "*", the special epact 25 as Arabic "25", and everything
-    else as a lowercase Roman numeral with a final i printed as j (so 16 is
-    "xvj", not "xvi").
-    """
-    value = _check_range(value, "epact value", 0, 29)
-    if type(special25) is not bool:
-        raise TypeError(f"special25 must be a bool, not {type(special25).__name__}")
-    if value == 0:
-        return "*"
-    if special25 and value == 25:
-        return "25"
-    return "x" * (value // 10) + _ROMAN_ONES[value % 10]
-
-
 @dataclass(frozen=True)
 class Epact:
     """Age of the ecclesiastical moon on January 1, minus one.
@@ -148,7 +151,19 @@ class Epact:
 
     @property
     def label(self) -> str:
-        return epact_label(self.value, self.special25)
+        """Liturgical rendering: 0 is "*", the special epact 25 is Arabic
+        "25", and everything else a lowercase Roman numeral with a final i
+        printed as j (so 16 is "xvj", not "xvi")."""
+        if self.value == 0:
+            return "*"
+        if self.special25:
+            return "25"
+        return "x" * (self.value // 10) + _ROMAN_ONES[self.value % 10]
+
+
+def epact_label(value: int, special25: bool = False) -> str:
+    """The label of ``Epact(value, special25)``, which checks both."""
+    return Epact(value, special25).label
 
 
 def _epact_value(year: int) -> int:
@@ -196,6 +211,11 @@ def lunation_value(x: int) -> int:
     return (x + x // 59) % 30 + 1
 
 
+def _long_first(e: int, special25: bool) -> bool:
+    # The lunation-branch rule: xxv and above, except the special 25.
+    return e >= 25 and not special25
+
+
 class LunationBranch(enum.Enum):
     """Which of the two alternating lunation sequences a year follows."""
 
@@ -208,9 +228,8 @@ def lunation_branch(epact_value: int, golden: int) -> LunationBranch:
     for xxv and above.  The year's class table follows it."""
     epact_value = _check_range(epact_value, "epact value", 0, 29)
     golden = _check_range(golden, "golden number", 1, 19)
-    if epact_value < 25 or _special25(epact_value, golden):
-        return LunationBranch.SHORT_FIRST
-    return LunationBranch.LONG_FIRST
+    long_first = _long_first(epact_value, _special25(epact_value, golden))
+    return LunationBranch.LONG_FIRST if long_first else LunationBranch.SHORT_FIRST
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +238,7 @@ def _class_ages(e: int, special25: bool, shift: int) -> tuple[int, ...]:
     # by year: at most 31 x 4 tables.  The first January lunation, days
     # 0..29-e, runs e+1..30 in both lunation branches; after it LONG_FIRST
     # reads the 59-day lunation cycle 29 days further on than SHORT_FIRST.
-    offset = e if e < 25 or special25 else e + 29
+    offset = e + 29 if _long_first(e, special25) else e
     ages = (e + n + 1 - shift if n + e < 30 else lunation_value(offset + n) for n in range(365))
     return tuple(age + 30 if age <= 0 else age for age in ages)
 

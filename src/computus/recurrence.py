@@ -17,6 +17,22 @@ from typing import Iterator, NamedTuple
 
 from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _epact_value, _jump, _special25
 
+__all__ = [
+    "ANCHOR_EPACT",
+    "RECURRENCE_MAX",
+    "CorrectionFlags",
+    "correction_flags",
+    "epact_by_recurrence",
+    "epact_sequence",
+    "jump",
+    "lunar_correction",
+    "lunar_sum",
+    "lunar_sum_alt",
+    "metonic_correction",
+    "solar_correction",
+    "solar_sum",
+]
+
 RECURRENCE_MAX = 10_000_000
 
 ANCHOR_EPACT = 26  # epact of the anchor year 1582
@@ -74,12 +90,17 @@ def _check_span(start: int, end: int, minimum: int) -> tuple[int, int]:
 
 
 def epact_sequence(start: int, end: int) -> Iterator[tuple[int, int]]:
-    """Yield (year, epact value) for start..end by running the recurrence once.
+    """Iterator of (year, epact value) for start..end, running the recurrence once.
 
-    Use this for sweeps; calling :func:`epact_by_recurrence` per year would
-    restart the iteration from 1582 every time.
+    The bounds are checked at the call, before any iteration.  Use this for
+    sweeps; calling :func:`epact_by_recurrence` per year would restart the
+    iteration from 1582 every time.
     """
-    start, end = _check_span(start, end, ANCHOR_YEAR)
+    return _walk(*_check_span(start, end, ANCHOR_YEAR))
+
+
+def _walk(start: int, end: int) -> Iterator[tuple[int, int]]:
+    # The recurrence over checked bounds.
     value = ANCHOR_EPACT
     if start == ANCHOR_YEAR:
         yield ANCHOR_YEAR, value
@@ -95,7 +116,7 @@ def epact_by_recurrence(year: int) -> Epact:
     Linear in ``year - 1582``.
     """
     year = _check_year(year, ANCHOR_YEAR, RECURRENCE_MAX)
-    [(_, value)] = epact_sequence(year, year)
+    [(_, value)] = _walk(year, year)
     return Epact(value, _special25(value, year % 19 + 1))
 
 

@@ -16,6 +16,28 @@ from . import core
 from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, age_in_mode
 from .core import _CORRECTED, _PRONOUNCED, MoonAgeMode, _ages, _weekday
 
+# MoonAgeMode and age_in_mode are core's; they stay readable here.
+__all__ = [
+    "CSV_HEADER",
+    "DayAge",
+    "DayEntry",
+    "LetterMap",
+    "MartyrologyLetter",
+    "TransitionTable",
+    "Weekday",
+    "YearLunarTable",
+    "corrected_age",
+    "day_of_week",
+    "easter_date",
+    "load_letter_map",
+    "martyrology_letter",
+    "new_moon_dates",
+    "pronounced_age",
+    "transition_table",
+    "year_ages",
+    "year_table",
+]
+
 
 def pronounced_age(year: int, month: int, day: int) -> int:
     """Moon age as pronounced at the reading of the Martyrology.
@@ -149,10 +171,21 @@ class MartyrologyLetter(NamedTuple):
 
 @dataclass(frozen=True)
 class LetterMap:
-    """A glyph for each epact value 0..29 plus the special-25 variant."""
+    """A glyph for each epact value 0..29 plus the special-25 variant.
+
+    Every glyph is a non-empty string; anything else raises ValueError.
+    """
 
     symbols: tuple[str, ...]
     special25: str
+
+    def __post_init__(self) -> None:
+        if type(self.symbols) is not tuple or len(self.symbols) != 30:
+            raise ValueError(f"letter map needs a tuple of 30 epact glyphs, got {self.symbols!r}")
+        named = [(f"epacts {v}", g) for v, g in enumerate(self.symbols)]
+        for name, g in named + [("special_25", self.special25)]:
+            if not isinstance(g, str) or not g:
+                raise ValueError(f"letter map entry {name} must be a non-empty string, got {g!r}")
 
 
 # Epacts 0..29, then the special 25.  The sources attest only a=1, r=16 and
@@ -165,7 +198,7 @@ def load_letter_map(path: str | Path | None = None) -> LetterMap:
     """Read a letter mapping from a JSON file, or return the default.
 
     The file holds an ``epacts`` object keyed "0".."29" and a ``special_25``
-    glyph; every glyph is a non-empty string.  An unreadable file or a
+    glyph, which :class:`LetterMap` checks.  An unreadable file or a
     malformed mapping raises ValueError.
     """
     if path is None:
@@ -178,13 +211,7 @@ def load_letter_map(path: str | Path | None = None) -> LetterMap:
     epacts = raw.get("epacts") if isinstance(raw, dict) else None
     if not isinstance(epacts, dict):
         raise ValueError("letter map must be an object holding an 'epacts' object")
-    entries = {f"epacts {v}": epacts.get(str(v)) for v in range(30)}
-    entries["special_25"] = raw.get("special_25")
-    for name, glyph in entries.items():
-        if not isinstance(glyph, str) or not glyph:
-            raise ValueError(f"letter map entry {name} must be a non-empty string, got {glyph!r}")
-    *symbols, special = entries.values()
-    return LetterMap(tuple(symbols), special)
+    return LetterMap(tuple(epacts.get(str(v)) for v in range(30)), raw.get("special_25"))
 
 
 def martyrology_letter(e: Epact, letters: LetterMap | None = None) -> MartyrologyLetter:
@@ -194,6 +221,8 @@ def martyrology_letter(e: Epact, letters: LetterMap | None = None) -> Martyrolog
     the cue readers use to pick the right column, so it is reported as a
     flag here.
     """
+    if not isinstance(e, Epact):
+        raise TypeError(f"e must be an Epact, not {type(e).__name__}")
     if letters is None:
         letters = _LETTERS
     if e.special25:

@@ -22,6 +22,12 @@ from dataclasses import dataclass, field
 
 from . import core, recurrence, tables
 
+__all__ = [
+    "PropertyCheck",
+    "VerifyReport",
+    "verify_range",
+]
+
 
 @dataclass
 class PropertyCheck:

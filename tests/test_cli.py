@@ -83,6 +83,14 @@ def test_epact_bad_letters_exit_2(capsys, tmp_path, content):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_epact_empty_letters_path_exits_2(capsys):
+    # An empty path is a path that cannot be read, not a request for the
+    # default letters.
+    code, out, err = run_cli(capsys, "epact", "1945", "--letters", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read letter map")
+
+
 def test_moon_age_command(capsys):
     assert run_cli(capsys, "moon-age", "1945-08-15")[1].strip() == "7"
     assert (

@@ -183,3 +183,13 @@ def test_index_years_are_used_as_ints(function):
 def test_range_bounds_must_be_integers(call, start, end):
     with pytest.raises(TypeError):
         call(start, end)
+
+
+@pytest.mark.parametrize(
+    "start, end, error",
+    [(1582, 1582.0, TypeError), (2000, 1999, ValueError), (1581, 1600, ValueError)],
+)
+def test_epact_sequence_checks_bounds_when_called(start, end, error):
+    # A generator function would check only at the first next().
+    with pytest.raises(error):
+        epact_sequence(start, end)

@@ -311,3 +311,38 @@ def test_transition_as_dict_schema():
     assert payload["mode"] == "corrected"
     assert payload["december"][0] == {"day": 1, "age": 1}
     assert payload["january"][29] == {"day": 30, "age": 31}
+
+
+@pytest.mark.parametrize(
+    "symbols, special25, message",
+    [
+        (("a",), "F", "tuple of 30 epact glyphs"),
+        (list("*abcdefghiklmnpqrstuABCDEFGHIK"), "F", "tuple of 30 epact glyphs"),
+        (tuple("*abcdefghiklmnpqrstuABCDEFGHIK") + ("L",), "F", "tuple of 30 epact glyphs"),
+        (tuple("*abcdefghiklmnpqrstuABCDEFGHI") + (None,), "F", "entry epacts 29 .* None"),
+        (tuple("*abcdefghiklmnpqrstuABCDEFGHI") + ("",), "F", "entry epacts 29 .* ''"),
+        (tuple("*abcdefghiklmnpqrstuABCDEFGHIK"), "", "entry special_25 .* ''"),
+        (tuple("*abcdefghiklmnpqrstuABCDEFGHIK"), 7, "entry special_25 .* 7"),
+    ],
+    ids=["short", "list", "long", "glyph-none", "glyph-empty", "special-empty", "special-int"],
+)
+def test_letter_map_checks_itself(symbols, special25, message):
+    # LetterMap(("a",), "F") used to be built, and a letter lookup for a
+    # later epact then raised IndexError.
+    with pytest.raises(ValueError, match=message):
+        LetterMap(symbols, special25)
+
+
+def test_load_letter_map_messages_unchanged(tmp_path):
+    data = {"epacts": {str(v): "Z" for v in range(30) if v != 7}, "special_25": "Q"}
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as error:
+        load_letter_map(path)
+    assert str(error.value) == "letter map entry epacts 7 must be a non-empty string, got None"
+
+
+@pytest.mark.parametrize("e", [16, "xvj", None, (16, False)])
+def test_martyrology_letter_needs_an_epact(e):
+    with pytest.raises(TypeError, match="must be an Epact"):
+        martyrology_letter(e)

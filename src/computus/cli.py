@@ -16,7 +16,7 @@ import functools
 import os
 import sys
 
-from . import core, tables, verify
+from . import core, tables
 from .core import _TABLE_DATES
 
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -139,6 +139,7 @@ def _cmd_easter(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # only a sweep needs it, so other commands never load it
     report = verify.verify_range(args.from_year, args.to_year)
     print(f"verifying years {report.start}..{report.end}")
     for check in report.checks:

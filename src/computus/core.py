@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -129,8 +128,28 @@ def _check_range(value: int, name: str, low: int, high: int) -> int:
 _ROMAN_ONES = ("", "j", "ij", "iij", "iv", "v", "vj", "vij", "viij", "ix")
 
 
-@dataclass(frozen=True)
-class Epact:
+class _Record:
+    # @dataclass(frozen=True) without loading dataclasses.  Each __init__ sets the
+    # fields of __match_args__ in order with object.__setattr__, as the dataclass
+    # did (filling vars(self) builds a dict per instance); ==, hash, repr read them.
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Epact(_Record):
     """Age of the ecclesiastical moon on January 1, minus one.
 
     ``special25`` marks the Arabic-numeral epact 25 used when the golden
@@ -138,16 +157,17 @@ class Epact:
     the Roman-numeral xxv.
     """
 
-    value: int
-    special25: bool = False
+    __match_args__ = ("value", "special25")
 
-    def __post_init__(self) -> None:
-        if type(self.value) is not int or not 0 <= self.value <= 29:
-            object.__setattr__(self, "value", _check_range(self.value, "epact value", 0, 29))
-        if type(self.special25) is not bool:
-            raise TypeError(f"special25 must be a bool, not {type(self.special25).__name__}")
-        if self.special25 and self.value != 25:
+    def __init__(self, value: int, special25: bool = False) -> None:
+        if type(value) is not int or not 0 <= value <= 29:
+            value = _check_range(value, "epact value", 0, 29)
+        if type(special25) is not bool:
+            raise TypeError(f"special25 must be a bool, not {type(special25).__name__}")
+        if special25 and value != 25:
             raise ValueError("special25 applies only to epact 25")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "special25", special25)
 
     @property
     def label(self) -> str:

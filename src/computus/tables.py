@@ -8,13 +8,12 @@ lists, Martyrology letters, and the date of Easter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from pathlib import Path
+import os
 from typing import NamedTuple
 
 from . import core
 from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, age_in_mode
-from .core import _CORRECTED, _PRONOUNCED, MoonAgeMode, _ages, _weekday
+from .core import _CORRECTED, _PRONOUNCED, MoonAgeMode, _ages, _Record, _weekday
 
 # MoonAgeMode and age_in_mode are core's; they stay readable here.
 __all__ = [
@@ -82,14 +81,16 @@ class DayEntry(NamedTuple):
 CSV_HEADER = ("month", "day", "age", "new_moon", "full_moon")
 
 
-@dataclass(frozen=True)
-class YearLunarTable:
+class YearLunarTable(_Record):
     """365 moon ages for one year, with the new moons (age 1) and
     ecclesiastical full moons (age 14) flagged."""
 
-    year: int
-    mode: MoonAgeMode
-    entries: tuple[DayEntry, ...]
+    __match_args__ = ("year", "mode", "entries")
+
+    def __init__(self, year: int, mode: MoonAgeMode, entries: tuple[DayEntry, ...]) -> None:
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "entries", entries)
 
     def new_moons(self) -> list[CalendarDate]:
         return [CalendarDate(e.month, e.day) for e in self.entries if e.is_new_moon]
@@ -128,8 +129,10 @@ class DayAge(NamedTuple):
     age: int
 
 
-@dataclass(frozen=True)
-class TransitionTable:
+_Days = tuple[DayAge, ...]  # December or January, days 1..31
+
+
+class TransitionTable(_Record):
     """December of the previous year laid next to January of the boundary
     year.
 
@@ -137,10 +140,13 @@ class TransitionTable:
     corrected treatments.
     """
 
-    year: int
-    mode: MoonAgeMode
-    december: tuple[DayAge, ...]
-    january: tuple[DayAge, ...]
+    __match_args__ = ("year", "mode", "december", "january")
+
+    def __init__(self, year: int, mode: MoonAgeMode, december: _Days, january: _Days) -> None:
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "december", december)
+        object.__setattr__(self, "january", january)
 
     def as_dict(self) -> dict:
         return {
@@ -169,23 +175,23 @@ class MartyrologyLetter(NamedTuple):
     distinct_color: bool
 
 
-@dataclass(frozen=True)
-class LetterMap:
+class LetterMap(_Record):
     """A glyph for each epact value 0..29 plus the special-25 variant.
 
     Every glyph is a non-empty string; anything else raises ValueError.
     """
 
-    symbols: tuple[str, ...]
-    special25: str
+    __match_args__ = ("symbols", "special25")
 
-    def __post_init__(self) -> None:
-        if type(self.symbols) is not tuple or len(self.symbols) != 30:
-            raise ValueError(f"letter map needs a tuple of 30 epact glyphs, got {self.symbols!r}")
-        named = [(f"epacts {v}", g) for v, g in enumerate(self.symbols)]
-        for name, g in named + [("special_25", self.special25)]:
+    def __init__(self, symbols: tuple[str, ...], special25: str) -> None:
+        if type(symbols) is not tuple or len(symbols) != 30:
+            raise ValueError(f"letter map needs a tuple of 30 epact glyphs, got {symbols!r}")
+        named = [(f"epacts {v}", g) for v, g in enumerate(symbols)]
+        for name, g in named + [("special_25", special25)]:
             if not isinstance(g, str) or not g:
                 raise ValueError(f"letter map entry {name} must be a non-empty string, got {g!r}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "special25", special25)
 
 
 # Epacts 0..29, then the special 25.  The sources attest only a=1, r=16 and
@@ -194,7 +200,7 @@ class LetterMap:
 _LETTERS = LetterMap(tuple("*abcdefghiklmnpqrstuABCDEFGHIK"), "F")
 
 
-def load_letter_map(path: str | Path | None = None) -> LetterMap:
+def load_letter_map(path: str | os.PathLike[str] | None = None) -> LetterMap:
     """Read a letter mapping from a JSON file, or return the default.
 
     The file holds an ``epacts`` object keyed "0".."29" and a ``special_25``
@@ -205,7 +211,8 @@ def load_letter_map(path: str | Path | None = None) -> LetterMap:
         return _LETTERS
     import json  # only a custom letter file needs it, so most commands never load it
     try:
-        raw = json.loads(Path(path).read_text("utf-8"))
+        with open(os.fspath(path), encoding="utf-8") as file:  # fspath: no descriptor numbers
+            raw = json.load(file)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ValueError(f"cannot read letter map: {exc}") from None
     epacts = raw.get("epacts") if isinstance(raw, dict) else None
@@ -225,6 +232,8 @@ def martyrology_letter(e: Epact, letters: LetterMap | None = None) -> Martyrolog
         raise TypeError(f"e must be an Epact, not {type(e).__name__}")
     if letters is None:
         letters = _LETTERS
+    elif not isinstance(letters, LetterMap):
+        raise TypeError(f"letters must be a LetterMap, not {type(letters).__name__}")
     if e.special25:
         return MartyrologyLetter(letters.special25, True)
     return MartyrologyLetter(letters.symbols[e.value], False)

@@ -89,6 +89,7 @@ def test_epact_empty_letters_path_exits_2(capsys):
     code, out, err = run_cli(capsys, "epact", "1945", "--letters", "")
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read letter map")
+    assert "'.'" not in err  # the message names the path given, not the directory
 
 
 def test_moon_age_command(capsys):
@@ -361,11 +362,25 @@ def test_help_with_closed_stdout_exits_2():
 
 
 def test_cli_import_leaves_json_unloaded():
-    # -S keeps site's own imports out; only a custom --letters file needs json.
+    # -S keeps site's own imports out.  Only a custom --letters file needs
+    # json, and only a sweep needs verify and the dataclasses it uses.
     _, env = _console()
-    code = "import sys, computus.cli; print('json' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60
+
+    def child(code):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys\n{code}"],
+            capture_output=True, env=env, timeout=60, text=True,
+        )  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    lazy = ("computus.verify", "dataclasses", "inspect", "pathlib", "json")
+    for statement in ("import computus.cli", "from computus import core, recurrence, tables"):
+        assert child(f"{statement}\nprint([m for m in {lazy!r} if m in sys.modules])") == "[]\n"
+    code = (
+        "import computus\n"
+        "before = 'computus.verify' in sys.modules\n"
+        "found = computus.verify_range\n"
+        "print(before, 'computus.verify' in sys.modules, found is computus.verify.verify_range)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\n"
+    assert child(code) == "False True True\n"

@@ -346,3 +346,10 @@ def test_load_letter_map_messages_unchanged(tmp_path):
 def test_martyrology_letter_needs_an_epact(e):
     with pytest.raises(TypeError, match="must be an Epact"):
         martyrology_letter(e)
+
+
+@pytest.mark.parametrize("letters", [("a",) * 30, "abc"], ids=["tuple", "str"])
+def test_martyrology_letter_needs_a_letter_map(letters):
+    with pytest.raises(TypeError) as error:
+        martyrology_letter(Epact(1), letters)
+    assert str(error.value) == f"letters must be a LetterMap, not {type(letters).__name__}"

@@ -63,7 +63,7 @@ def _join(sep: str, days: tuple[str, ...], fragments: tuple[str, ...], ages) -> 
     return sep.join(map(str.__add__, days, map(fragments.__getitem__, ages)))
 
 
-def _json(year: int, mode: tables.MoonAgeMode, **lists: str) -> str:
+def _json(year: int, mode: core.MoonAgeMode, **lists: str) -> str:
     # json.dumps(indent=2) of {year, mode, name: [items], ...}, items rendered.
     fields = [f'{{\n  "year": {year}', f'  "mode": "{mode.value}"']
     fields += [f'  "{name}": [\n{items}\n  ]' for name, items in lists.items()]
@@ -82,7 +82,7 @@ def _cmd_epact(args: argparse.Namespace) -> int:
 
 def _cmd_moon_age(args: argparse.Namespace) -> int:
     year, month, day = args.date
-    print(tables.age_in_mode(year, month, day, core.MoonAgeMode(args.mode)))
+    print(core.age_in_mode(year, month, day, core.MoonAgeMode(args.mode)))
     return 0
 
 
@@ -100,8 +100,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_transition(args: argparse.Namespace) -> int:
-    year, mode = core._check_year(args.year, core.YEAR_MIN + 1), core.MoonAgeMode(args.mode)
-    december, january = core._boundary(year, mode)
+    mode = core.MoonAgeMode(args.mode)
+    year, december, january = core._boundary(args.year, mode)
     if args.format == "json":
         items = [_join(",\n", _JSON_DAYS, _JSON_DAY_AGES, ages) for ages in (december, january)]
         print(_json(year, mode, december=items[0], january=items[1]))
@@ -157,7 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _add_mode(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
-        choices=[m.value for m in tables.MoonAgeMode],
+        choices=[m.value for m in core.MoonAgeMode],
         default="raw",
         help="January treatment (default raw)",
     )

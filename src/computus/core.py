@@ -299,13 +299,14 @@ def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
 
 
 def _window(before: tuple[int, ...], ages: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # December 1..31 of one year's ages and January 1..31 of the next's.
-    return before[334:], ages[:31]
+    # December of one year's ages and January of the next's, 31 days each.
+    return before[_MONTH_STARTS[11]:], ages[:_MONTH_LENGTHS[0]]
 
 
-def _boundary(year: int, mode: MoonAgeMode = _RAW) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Raw December of the year before and January of a checked year above YEAR_MIN in the mode.
-    return _window(_ages(year - 1), _ages(year, mode))
+def _boundary(year: int, mode: MoonAgeMode) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    # The year as a plain int (YEAR_MIN has no December before it), then the window.
+    year = _check_year(year, YEAR_MIN + 1)
+    return year, *_window(_ages(year - 1), _ages(year, mode))
 
 
 def age_in_mode(year: int, month: int, day: int, mode: MoonAgeMode = _RAW) -> int:

@@ -159,9 +159,8 @@ class TransitionTable(_Record):
 
 def transition_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> TransitionTable:
     """The 31 + 31 day ages around the December 31 / January 1 boundary."""
-    year, days = _check_year(year, core.YEAR_MIN + 1), range(1, 32)
-    december, january = (tuple(map(DayAge, days, ages)) for ages in core._boundary(year, mode))
-    return TransitionTable(year, mode, december, january)
+    year, *window = core._boundary(year, mode)
+    return TransitionTable(year, mode, *(tuple(map(DayAge, range(1, 32), a)) for a in window))
 
 
 def new_moon_dates(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[CalendarDate]:
@@ -255,7 +254,7 @@ def day_of_week(year: int, month: int, day: int) -> Weekday:
     return Weekday(_weekday(year, *_check_date(month, day, year)))
 
 
-_MARCH_21 = 79  # day number of the earliest paschal full moon
+_MARCH_21 = core._day_number(3, 21)  # the earliest paschal full moon
 
 
 def easter_date(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> CalendarDate:

@@ -1,4 +1,5 @@
 import errno
+import inspect
 import json
 import os
 import subprocess
@@ -180,6 +181,12 @@ def test_transition_csv(capsys):
     assert len(lines) == 63
 
 
+def test_transition_command_rejects_first_supported_year(capsys):
+    code, out, err = run_cli(capsys, "transition", "1583")
+    assert code == 2 and out == ""
+    assert err == "error: year 1583 not in supported range 1584..4000000\n"
+
+
 def test_new_moons_text(capsys):
     code, out, _ = run_cli(capsys, "new-moons", "1945")
     assert code == 0
@@ -224,6 +231,13 @@ def test_verify_reports_failure(capsys, monkeypatch):
 def test_verify_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify", "--from", "1500", "--to", "1600")
     assert code == 2 and "error:" in err
+
+
+def test_verify_defaults_are_verify_range_defaults():
+    # The parser restates them so that verify stays unloaded until a sweep runs.
+    args = cli._build_parser().parse_args(["verify"])
+    params = inspect.signature(verify.verify_range).parameters
+    assert (args.from_year, args.to_year) == (params["start"].default, params["end"].default)
 
 
 def test_broken_pipe_exits_quietly():

@@ -194,9 +194,24 @@ def test_transition_december_is_always_raw():
         assert [a for _, a in table.december] == year_ages(16399)[334:]
 
 
+def test_transition_window_is_december_and_january():
+    # The window read from the year tables' own dates, with no day offsets.
+    def days(table, month):
+        return tuple((e.day, e.age) for e in table.entries if e.month == month)
+
+    for year in range(1584, 2001):
+        december = days(year_table(year - 1), 12)
+        for mode in MoonAgeMode:
+            table = transition_table(year, mode)
+            assert table.december == december, (year, mode)
+            assert table.january == days(year_table(year, mode), 1), (year, mode)
+
+
 def test_transition_rejects_first_supported_year():
-    with pytest.raises(ValueError):
+    message = "year 1583 not in supported range 1584..4000000"
+    with pytest.raises(ValueError) as excinfo:
         transition_table(1583)
+    assert str(excinfo.value) == message
     transition_table(1584)
 
 

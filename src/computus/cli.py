@@ -7,17 +7,25 @@ the command stops writing and exits 0 without a message.
 
 Tables render straight from the cached class ages, byte for byte as the
 public table objects do under ``json.dumps(indent=2)`` and ``csv.writer``.
+
+A table command in its plain form (an ASCII-digit year, then only the whole
+words ``--mode V``, ``--format V`` and ``--color``) skips argparse, which is
+imported only for help, usage errors and every other spelling.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+import types
+from typing import TYPE_CHECKING
 
 from . import core, tables
 from .core import _TABLE_DATES
+
+if TYPE_CHECKING:
+    import argparse
 
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
@@ -26,6 +34,8 @@ def _parse_date(text: str) -> tuple[int, int, int]:
     try:
         year, month, day = map(int, text.split("-"))
     except ValueError:  # not three parts, or a part that is not an integer
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected year-month-day, got {text!r}") from None
     return year, month, day
 
@@ -154,23 +164,59 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+_MODES = tuple(m.value for m in core.MoonAgeMode)  # the first, raw, is the default
+_GRID_FORMATS = ("text", "csv", "json")
+# The table commands share a year, a January mode and an output format (the
+# first listed is the default); new-moons prints a list of dates, so it has
+# no CSV and no colour.  Per command: handler, help, formats, --color.
+_TABLE_COMMANDS = {
+    "table": (_cmd_table, "day-by-day lunar table for a year", _GRID_FORMATS, True),
+    "transition": (_cmd_transition, "December/January ages around a new year", _GRID_FORMATS, True),
+    "new-moons": (_cmd_new_moons, "dates of the year's new moons", ("text", "json"), False),
+}
+
+
+def _quick(argv: list[str]) -> types.SimpleNamespace | None:
+    # What argparse returns for a table command in its plain form, without
+    # argparse; None for anything else, which argparse then parses or rejects.
+    if len(argv) < 2 or not all(isinstance(word, str) for word in argv):
+        return None
+    command, year, *words = argv
+    if command not in _TABLE_COMMANDS or not (year.isascii() and year.isdigit()):
+        return None
+    handler, _, formats, color = _TABLE_COMMANDS[command]
+    args = {"mode": _MODES[0], "format": formats[0]} | ({"color": False} if color else {})
+    choices = {"--mode": _MODES, "--format": formats}
+    words = iter(words)
+    for word in words:
+        if word == "--color" and color:
+            args["color"] = True
+        elif word in choices and (value := next(words, None)) in choices[word]:
+            args[word[2:]] = value
+        else:
+            return None
+    try:
+        year = int(year)
+    except ValueError:  # more digits than int() reads: argparse says so
+        return None
+    return types.SimpleNamespace(command=command, year=year, handler=handler, **args)
+
+
 def _add_mode(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--mode",
-        choices=[m.value for m in core.MoonAgeMode],
-        default="raw",
-        help="January treatment (default raw)",
+        "--mode", choices=_MODES, default=_MODES[0], help="January treatment (default raw)"
     )
-
-
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None) -> None:  # argparse's own writer drops write errors
-        print(self.format_help(), end="", file=file)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # Built on first use and kept: parsing leaves the parser unchanged.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def print_help(self, file=None) -> None:  # argparse's own writer drops write errors
+            print(self.format_help(), end="", file=file)
+
     parser = _Parser(
         prog="computus",
         description="Age of the ecclesiastical moon in the Gregorian calendar.",
@@ -187,22 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mode(p)
     p.set_defaults(handler=_cmd_moon_age)
 
-    # The table commands share a year, a January mode and an output format;
-    # new-moons prints a list of dates, so it has no CSV and no colour.
-    for name, handler, text in (
-        ("table", _cmd_table, "day-by-day lunar table for a year"),
-        ("transition", _cmd_transition, "December/January ages around a new year"),
-        ("new-moons", _cmd_new_moons, "dates of the year's new moons"),
-    ):
+    for name, (handler, text, formats, color) in _TABLE_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("year", type=int)
         _add_mode(p)
-        grid = name != "new-moons"
-        formats = ("text", "csv", "json") if grid else ("text", "json")
         p.add_argument(
-            "--format", choices=formats, default="text", help="output format (default text)"
+            "--format", choices=formats, default=formats[0], help="output format (default text)"
         )
-        if grid:
+        if color:
             p.add_argument("--color", action="store_true", help="ANSI colour in text output")
         p.set_defaults(handler=handler)
 
@@ -219,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _quick(argv) or _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -1,5 +1,8 @@
+import contextlib
 import errno
 import inspect
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import computus
-from computus import cli, verify
+from computus import MoonAgeMode, cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -377,7 +382,8 @@ def test_help_with_closed_stdout_exits_2():
 
 def test_cli_import_leaves_json_unloaded():
     # -S keeps site's own imports out.  Only a custom --letters file needs
-    # json, and only a sweep needs verify and the dataclasses it uses.
+    # json, only a sweep needs verify and the dataclasses it uses, and a
+    # plain table command needs no argparse.
     _, env = _console()
 
     def child(code):
@@ -388,9 +394,14 @@ def test_cli_import_leaves_json_unloaded():
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    lazy = ("computus.verify", "dataclasses", "inspect", "pathlib", "json")
-    for statement in ("import computus.cli", "from computus import core, recurrence, tables"):
-        assert child(f"{statement}\nprint([m for m in {lazy!r} if m in sys.modules])") == "[]\n"
+    lazy = ("computus.verify", "dataclasses", "inspect", "pathlib", "json", "argparse")
+    for statement in (
+        "import computus.cli",
+        "from computus import core, recurrence, tables",
+        "from computus.cli import main\nmain(['table', '2033', '--format', 'json'])",
+    ):
+        out = child(f"{statement}\nprint([m for m in {lazy!r} if m in sys.modules])")
+        assert out.splitlines()[-1] == "[]"
     code = (
         "import computus\n"
         "before = 'computus.verify' in sys.modules\n"
@@ -398,3 +409,85 @@ def test_cli_import_leaves_json_unloaded():
         "print(before, 'computus.verify' in sys.modules, found is computus.verify.verify_range)"
     )
     assert child(code) == "False True True\n"
+
+
+# The quick parse of plain table commands against argparse, on argv lists
+# drawn from the words either parser reads, near misses of them and junk.
+_COMMANDS = ("epact", "moon-age", "table", "transition", "new-moons", "easter", "verify", "tab")
+_YEARS = ("2033", "02033", "0", "-5", "+5", " 12", "1_000", "\uff12\uff10\uff13\uff13", "abc")
+_OPTIONS = ("--mode", "--format", "--color", "--mo", "--mode=raw", "--", "-h", "--letters")
+_VALUES = (*(m.value for m in MoonAgeMode), "text", "csv", "json", "lunar")
+_WORDS = st.sampled_from(_COMMANDS + _YEARS + _OPTIONS + _VALUES)
+_PLAIN_WORDS = {"--mode", "--format", "--color", *_VALUES} - {"lunar"}
+_PAIRS = st.tuples(st.sampled_from(("--mode", "--format")), st.sampled_from(_VALUES)).map(list)
+
+
+def _argv(*head, group):
+    # The head words, then up to four groups of words.
+    tail = st.lists(group, max_size=4).map(lambda groups: list(itertools.chain(*groups)))
+    return st.builds(lambda *words: [*words[:-1], *words[-1]], *head, tail)
+
+
+_TABLE = st.sampled_from(_COMMANDS[2:5])
+_NEAR = st.one_of(_WORDS.map(lambda word: [word]), _PAIRS)
+_ARGV = st.one_of(
+    st.lists(_WORDS, max_size=6),
+    _argv(_WORDS, _WORDS, group=_NEAR),
+    _argv(_TABLE, st.sampled_from(_YEARS), group=_NEAR),
+    _argv(_TABLE, st.sampled_from(_YEARS[:3]), group=st.one_of(st.just(["--color"]), _PAIRS)),
+)
+
+
+def _argparse(argv):
+    # The parsed attributes, or how argparse exited and what it printed.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_ARGV)
+@example(["table", "2033"])
+@example(["new-moons", "2033", "--color"])
+@example(["table", "2033", "--mo", "raw"])
+@example(["table", "2033", "--mode=raw"])
+@example(["table", "2033", "--", "--color"])
+@example(["table", "2033", "-h"])
+@example(["table", "--mode", "raw", "2033"])
+@example(["table", "2033", "--format", "lunar"])
+@example(["table", "2033", "--mode"])
+@example(["table", "-5"])
+@example(["table", "+5"])
+@example(["table", "\uff12\uff10\uff13\uff13"])
+@example(["table", "9" * 5000])
+@example(["table", 2033])
+def test_quick_parse_is_argparse_or_declines(argv):
+    quick = cli._quick(argv)
+    if quick is not None:
+        # Only the plain form: an ASCII-digit year, then whole words.
+        assert argv[1].isascii() and argv[1].isdigit()
+        assert set(argv[2:]) <= _PLAIN_WORDS
+        assert vars(quick) == _argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "2033", "--color", "--mode", "corrected", "--format", "csv", "--mode", "raw"],
+        ["transition", "02033", "--format", "json", "--color"],
+        ["new-moons", "2033", "--mode", "pronounced", "--format", "json"],
+    ],
+)
+def test_quick_parse_takes_plain_table_commands(argv):
+    quick = cli._quick(argv)
+    assert quick is not None and vars(quick) == _argparse(argv)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    for argv in (["table", "2033", "--format", "csv"], ["table", "2033", "--format=csv"]):
+        monkeypatch.setattr(sys, "argv", ["computus", *argv])
+        from_sys_argv = (cli.main(), *capsys.readouterr())
+        assert from_sys_argv == run_cli(capsys, *argv)

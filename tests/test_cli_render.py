@@ -1,6 +1,6 @@
 """The CLI renders tables straight from the class tables.  These tests hold
 its JSON and CSV output to the public table objects rendered the standard
-way, and check that one argparse parser serves many calls."""
+way, and check that one argparse parser serves the calls that need one."""
 
 import csv
 import functools
@@ -95,11 +95,13 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", lambda: served.append(real()) or served[-1])
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "abc"])
-    assert exc.value.code == 2
+    assert exc.value.code == 2 and len(served) == 1
     capsys.readouterr()
     colored = _cli(capsys, "table", "2033", "--format", "text", "--color")
     plain = _cli(capsys, "table", "2033", "--format", "text")
     assert "\x1b[" in colored
     assert "\x1b[" not in plain
-    assert len(served) == 3 and len({id(p) for p in served}) == 1
+    assert len(served) == 1  # plain table commands never reach argparse
+    assert _cli(capsys, "table", "2033", "--format=text") == plain
+    assert len(served) == 2 and len({id(p) for p in served}) == 1
     assert real.cache_info().misses == 1

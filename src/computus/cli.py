@@ -150,7 +150,9 @@ def _cmd_easter(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify  # only a sweep needs it, so other commands never load it
-    report = verify.verify_range(args.from_year, args.to_year)
+    # A bound the user left out is absent, so it takes verify_range's default.
+    bounds = {name: value for name, value in vars(args).items() if name in ("start", "end")}
+    report = verify.verify_range(**bounds)
     print(f"verifying years {report.start}..{report.end}")
     for check in report.checks:
         if check.ok:
@@ -179,7 +181,7 @@ _TABLE_COMMANDS = {
 def _quick(argv: list[str]) -> types.SimpleNamespace | None:
     # What argparse returns for a table command in its plain form, without
     # argparse; None for anything else, which argparse then parses or rejects.
-    if len(argv) < 2 or not all(isinstance(word, str) for word in argv):
+    if len(argv) < 2:
         return None
     command, year, *words = argv
     if command not in _TABLE_COMMANDS or not (year.isascii() and year.isdigit()):
@@ -202,10 +204,9 @@ def _quick(argv: list[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(command=command, year=year, handler=handler, **args)
 
 
-def _add_mode(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mode", choices=_MODES, default=_MODES[0], help="January treatment (default raw)"
-    )
+def _add_choice(parser: argparse.ArgumentParser, flag: str, choices: tuple, text: str) -> None:
+    default = choices[0]
+    parser.add_argument(flag, choices=choices, default=default, help=f"{text} (default {default})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,16 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moon-age", help="age of the moon on a date")
     p.add_argument("date", type=_parse_date, help="year-month-day, e.g. 1945-08-15")
-    _add_mode(p)
+    _add_choice(p, "--mode", _MODES, "January treatment")
     p.set_defaults(handler=_cmd_moon_age)
 
     for name, (handler, text, formats, color) in _TABLE_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("year", type=int)
-        _add_mode(p)
-        p.add_argument(
-            "--format", choices=formats, default=formats[0], help="output format (default text)"
-        )
+        _add_choice(p, "--mode", _MODES, "January treatment")
+        _add_choice(p, "--format", formats, "output format")
         if color:
             p.add_argument("--color", action="store_true", help="ANSI colour in text output")
         p.set_defaults(handler=handler)
@@ -249,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_easter)
 
     p = sub.add_parser("verify", help="run the property sweep over a year range")
-    p.add_argument("--from", dest="from_year", type=int, default=core.YEAR_MIN)
-    p.add_argument("--to", dest="to_year", type=int, default=25000)
+    p.add_argument("--from", dest="start", metavar="FROM_YEAR", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--to", dest="end", metavar="TO_YEAR", type=int, default=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -258,6 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    for i, word in enumerate(argv):
+        if not isinstance(word, str):
+            raise TypeError(f"argv[{i}] must be str, not {type(word).__name__}")
     args = _quick(argv) or _build_parser().parse_args(argv)
     try:
         return args.handler(args)

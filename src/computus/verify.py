@@ -52,19 +52,6 @@ class VerifyReport:
         return [c for c in self.checks if not c.ok]
 
 
-_CHECK_NAMES = (
-    "epact closed form vs recurrence",
-    "solar sum identity",
-    "lunar sum identity",
-    "alternate lunar sum equivalence",
-    "jump decomposition",
-    "raw age succession",
-    "corrected December-January succession",
-    "new year continuity",
-    "easter window",
-)
-
-
 def _fail(check: PropertyCheck, counterexample: str) -> None:
     # The first failure is the check's counterexample.
     if check.ok:
@@ -96,12 +83,19 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     year it applies to, walked or a memo hit, so its count follows from the range.
     """
     start, end = recurrence._check_span(start, end, core.YEAR_MIN)
+    years = end - start + 1
     dated_end = min(end, core.YEAR_MAX)
     dated = max(0, dated_end - start + 1)
     boundary = dated - (start == core.YEAR_MIN)  # 1583 has no December before it
-    counts = (end - start + 1,) * 5 + (dated, boundary, boundary, dated)
-    checks = [PropertyCheck(name, True, n) for name, n in zip(_CHECK_NAMES, counts)]
-    rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east = checks
+    rec = PropertyCheck("epact closed form vs recurrence", True, years)
+    ssum = PropertyCheck("solar sum identity", True, years)
+    lsum = PropertyCheck("lunar sum identity", True, years)
+    lalt = PropertyCheck("alternate lunar sum equivalence", True, years)
+    jdec = PropertyCheck("jump decomposition", True, years)
+    succ = PropertyCheck("raw age succession", True, dated)
+    csucc = PropertyCheck("corrected December-January succession", True, boundary)
+    cont = PropertyCheck("new year continuity", True, boundary)
+    east = PropertyCheck("easter window", True, dated)
     walked: dict = {}  # key -> the tables it names, held so that no id is reused
 
     value = recurrence.ANCHOR_EPACT
@@ -160,4 +154,4 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         if not (3, 22) <= (em, ed) <= (4, 25):
             _fail(east, f"year {year}: easter {em:02d}-{ed:02d}")
 
-    return VerifyReport(start, end, checks)
+    return VerifyReport(start, end, [rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east])

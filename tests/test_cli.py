@@ -238,11 +238,20 @@ def test_verify_bad_range(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_verify_defaults_are_verify_range_defaults():
-    # The parser restates them so that verify stays unloaded until a sweep runs.
-    args = cli._build_parser().parse_args(["verify"])
+def test_verify_bound_left_out_takes_verify_range_default(capsys):
     params = inspect.signature(verify.verify_range).parameters
-    assert (args.from_year, args.to_year) == (params["start"].default, params["end"].default)
+    start, end = params["start"].default, params["end"].default
+    _, out, _ = run_cli(capsys, "verify", "--to", "1600")
+    assert out.startswith(f"verifying years {start}..1600\n")
+    _, out, _ = run_cli(capsys, "verify", "--from", "24990")
+    assert out.startswith(f"verifying years 24990..{end}\n")
+
+
+@pytest.mark.parametrize("argv", [["table", 2033], ["verify", "--to", 1600]])
+def test_main_rejects_a_word_that_is_not_a_str(argv):
+    # The console script passes only str; a library caller learns which word is wrong.
+    with pytest.raises(TypeError, match=rf"^argv\[{len(argv) - 1}\] must be str, not int$"):
+        cli.main(argv)
 
 
 def test_broken_pipe_exits_quietly():
@@ -463,7 +472,6 @@ def _argparse(argv):
 @example(["table", "+5"])
 @example(["table", "\uff12\uff10\uff13\uff13"])
 @example(["table", "9" * 5000])
-@example(["table", 2033])
 def test_quick_parse_is_argparse_or_declines(argv):
     quick = cli._quick(argv)
     if quick is not None:

@@ -45,6 +45,26 @@ def test_injected_lunar_sum_fault_is_caught(monkeypatch):
     assert "1583" in names["alternate lunar sum equivalence"].counterexample
 
 
+def test_injected_solar_sum_fault_is_caught(monkeypatch):
+    real = verify.recurrence.solar_sum
+    monkeypatch.setattr(verify.recurrence, "solar_sum", lambda y: real(y) + 1)
+    report = verify_range(1583, 1700)
+    assert [(c.name, c.years_checked, c.counterexample) for c in report.failures] == [
+        ("solar sum identity", 118, "year 1583: solar_sum 1, accumulated 0")
+    ]
+
+
+def test_injected_easter_fault_is_caught(monkeypatch):
+    real = verify.tables.easter_date
+    monkeypatch.setattr(
+        verify.tables, "easter_date", lambda y: core.CalendarDate(4, 26) if y == 1650 else real(y)
+    )
+    report = verify_range(1583, 1700)
+    assert [(c.name, c.years_checked, c.counterexample) for c in report.failures] == [
+        ("easter window", 118, "year 1650: easter 04-26")
+    ]
+
+
 def test_injected_correction_fault_is_caught(monkeypatch):
     real = verify.recurrence.lunar_correction
     monkeypatch.setattr(

@@ -19,11 +19,11 @@ import functools
 import os
 import sys
 import types
-from typing import TYPE_CHECKING
 
 from . import core, tables
 from .core import _TABLE_DATES
 
+TYPE_CHECKING = False  # type checkers take it as true
 if TYPE_CHECKING:
     import argparse
 

@@ -12,10 +12,10 @@ pure function of its arguments, so all of it is safe to call concurrently.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import operator
-from typing import NamedTuple
 
 __all__ = [
     "ANCHOR_YEAR",
@@ -51,6 +51,8 @@ _MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 def is_leap_year(year: int) -> bool:
     """True for Gregorian leap years (century years only when divisible by 400)."""
+    if type(year) is not int:
+        year = _as_int(year, "year")
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
 
 
@@ -83,11 +85,8 @@ def _check_date(month: int, day: int, year: int | None = None) -> tuple[int, int
     return month, day
 
 
-class CalendarDate(NamedTuple):
-    """A month and day within some Gregorian year."""
-
-    month: int
-    day: int
+CalendarDate = collections.namedtuple("CalendarDate", "month day")
+CalendarDate.__doc__ = "A month and day within some Gregorian year."
 
 
 # The 365 dates of a year table by day number, and each month's first one.

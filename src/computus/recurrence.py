@@ -13,7 +13,8 @@ cover the full range.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+import collections
+from collections.abc import Iterator
 
 from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _epact_value, _jump, _special25
 
@@ -38,12 +39,8 @@ RECURRENCE_MAX = 10_000_000
 ANCHOR_EPACT = 26  # epact of the anchor year 1582
 
 
-class CorrectionFlags(NamedTuple):
-    """The three 0/1 epact corrections applying to one year."""
-
-    metonic: int
-    solar: int
-    lunar: int
+CorrectionFlags = collections.namedtuple("CorrectionFlags", "metonic solar lunar")
+CorrectionFlags.__doc__ = "The three 0/1 epact corrections applying to one year."
 
 
 def _metonic(year: int) -> int:

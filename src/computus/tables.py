@@ -7,9 +7,9 @@ lists, Martyrology letters, and the date of Easter.
 
 from __future__ import annotations
 
+import collections
 import enum
 import os
-from typing import NamedTuple
 
 from . import core
 from .core import _TABLE_DATES, CalendarDate, Epact, _check_date, _check_year, age_in_mode
@@ -70,14 +70,7 @@ def year_ages(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[int]:
     return list(_ages(_check_year(year), mode))
 
 
-class DayEntry(NamedTuple):
-    month: int
-    day: int
-    age: int
-    is_new_moon: bool
-    is_full_moon: bool
-
-
+DayEntry = collections.namedtuple("DayEntry", "month day age is_new_moon is_full_moon")
 CSV_HEADER = ("month", "day", "age", "new_moon", "full_moon")
 
 
@@ -124,11 +117,7 @@ def year_table(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> YearLunarTable
     return YearLunarTable(year, mode, entries)
 
 
-class DayAge(NamedTuple):
-    day: int
-    age: int
-
-
+DayAge = collections.namedtuple("DayAge", "day age")
 _Days = tuple[DayAge, ...]  # December or January, days 1..31
 
 
@@ -169,9 +158,7 @@ def new_moon_dates(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> list[Calen
     return [date for date, age in zip(_TABLE_DATES, ages) if age == 1]
 
 
-class MartyrologyLetter(NamedTuple):
-    symbol: str
-    distinct_color: bool
+MartyrologyLetter = collections.namedtuple("MartyrologyLetter", "symbol distinct_color")
 
 
 class LetterMap(_Record):

@@ -392,7 +392,8 @@ def test_help_with_closed_stdout_exits_2():
 def test_cli_import_leaves_json_unloaded():
     # -S keeps site's own imports out.  Only a custom --letters file needs
     # json, only a sweep needs verify and the dataclasses it uses, and a
-    # plain table command needs no argparse.
+    # plain table command needs no argparse.  The tuple records are
+    # collections.namedtuple types, so no process loads typing or re.
     _, env = _console()
 
     def child(code):
@@ -403,7 +404,9 @@ def test_cli_import_leaves_json_unloaded():
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    lazy = ("computus.verify", "dataclasses", "inspect", "pathlib", "json", "argparse")
+    lazy = (
+        "computus.verify", "dataclasses", "inspect", "pathlib", "json", "argparse", "typing", "re"
+    )
     for statement in (
         "import computus.cli",
         "from computus import core, recurrence, tables",

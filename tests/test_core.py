@@ -224,6 +224,15 @@ def test_non_integers_rejected():
         day_number(1, False)
 
 
+def test_is_leap_year_takes_integers_only():
+    # Any integer has a Gregorian answer, so no range is checked.
+    for year in (True, 1.0, 2033.5, float("nan")):
+        with pytest.raises(TypeError):
+            is_leap_year(year)
+    assert is_leap_year(_Index(2000)) and not is_leap_year(_Index(1900))
+    assert is_leap_year(-4) and is_leap_year(10**30)
+
+
 def test_float_call_leaves_int_results():
     with pytest.raises(TypeError):
         moon_age(1945.0, 8, 15)

@@ -1,5 +1,6 @@
 """The record classes behave as frozen value objects: shown, compared and
-hashed by their fields, immutable, and copied and pickled whole."""
+hashed by their fields, immutable, and copied and pickled whole.  The tuple
+records are named tuples: equal to a plain tuple of their fields."""
 
 import copy
 import pickle
@@ -7,11 +8,20 @@ import pickle
 import pytest
 
 from computus import (
+    CalendarDate,
+    CorrectionFlags,
+    DayAge,
+    DayEntry,
     Epact,
     LetterMap,
+    MartyrologyLetter,
     MoonAgeMode,
     TransitionTable,
     YearLunarTable,
+    correction_flags,
+    easter_date,
+    epact,
+    martyrology_letter,
     transition_table,
     year_table,
 )
@@ -126,3 +136,70 @@ def test_positional_match():
             assert symbols[16] == "r"
         case _:
             pytest.fail("LetterMap did not match positionally")
+
+
+# Each tuple record as a library call returns it, with its defining module,
+# docstring and field values.
+TUPLE_RECORDS = [
+    (
+        easter_date(2033),
+        "computus.core",
+        "A month and day within some Gregorian year.",
+        {"month": 4, "day": 17},
+    ),
+    (
+        year_table(2033).entries[0],
+        "computus.tables",
+        "DayEntry(month, day, age, is_new_moon, is_full_moon)",
+        {"month": 1, "day": 1, "age": 30, "is_new_moon": False, "is_full_moon": False},
+    ),
+    (
+        transition_table(2033).january[0],
+        "computus.tables",
+        "DayAge(day, age)",
+        {"day": 1, "age": 30},
+    ),
+    (
+        martyrology_letter(epact(2033)),
+        "computus.tables",
+        "MartyrologyLetter(symbol, distinct_color)",
+        {"symbol": "K", "distinct_color": False},
+    ),
+    (
+        correction_flags(1800),
+        "computus.recurrence",
+        "The three 0/1 epact corrections applying to one year.",
+        {"metonic": 0, "solar": 1, "lunar": 1},
+    ),
+]
+TUPLE_CLASSES = [CalendarDate, DayEntry, DayAge, MartyrologyLetter, CorrectionFlags]
+
+
+@pytest.mark.parametrize(
+    "cls, record, module, doc, fields",
+    [(cls, *row) for cls, row in zip(TUPLE_CLASSES, TUPLE_RECORDS)],
+    ids=[cls.__name__ for cls in TUPLE_CLASSES],
+)
+def test_tuple_record_shape(cls, record, module, doc, fields):
+    names, values = tuple(fields), tuple(fields.values())
+    assert type(record) is cls and isinstance(record, tuple)
+    assert cls.__name__ == cls.__qualname__
+    assert cls._fields == cls.__match_args__ == names
+    assert (cls.__doc__, cls.__module__) == (doc, module)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+    # Unlike the frozen records, a tuple record is the tuple of its fields.
+    assert record == values and hash(record) == hash(values)
+    assert cls(*values) == record == cls(**fields)
+    clones = [copy.copy(record), copy.deepcopy(record)]
+    clones += [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(type(c) is cls and c == record for c in clones)
+    assert record._asdict() == fields
+    first = names[0]
+    changed = record._replace(**{first: "x"})
+    assert type(changed) is cls and changed == ("x", *values[1:])
+    match record:
+        case cls(head) if head == values[0]:
+            pass
+        case _:
+            pytest.fail(f"{cls.__name__} did not match positionally")

@@ -5,8 +5,8 @@ arguments, out-of-range dates or output that cannot be written (a full disk,
 a closed descriptor).  When the reader of standard output closes it early,
 the command stops writing and exits 0 without a message.
 
-Tables render straight from the cached class ages, byte for byte as the
-public table objects do under ``json.dumps(indent=2)`` and ``csv.writer``.
+Tables fill each day's age into a layout built at import and join it, byte
+for byte as ``json.dumps(indent=2)`` and ``csv.writer`` render the tables.
 
 A table command in its plain form (an ASCII-digit year, then only the whole
 words ``--mode V``, ``--format V`` and ``--color``) skips argparse, which is
@@ -40,10 +40,6 @@ def _parse_date(text: str) -> tuple[int, int, int]:
     return year, month, day
 
 
-def _iso(year: int, month: int, day: int) -> str:
-    return f"{year}-{month:02d}-{day:02d}"
-
-
 def _cell(age: int, color: bool) -> str:
     mark = "*" if age == 1 else "^" if age == 14 else ""
     text = f"{age}{mark}".rjust(4)
@@ -51,26 +47,38 @@ def _cell(age: int, color: bool) -> str:
     return f"{code}{text}\x1b[0m" if color and mark else text
 
 
-# Output fragments: one string per age (index 0 unused) and one per day, so
-# that a table renders as one join over its class ages.
+def _layout(texts: list[str], sep: str = "") -> list[str]:
+    # Each day's text, after sep unless first, then an empty slot for its age.
+    layout = [""] * (2 * len(texts))
+    layout[::2] = [sep + text for text in texts]
+    layout[0] = texts[0]
+    return layout
+
+
+# Output fragments: a layout of the days and one string per age (index 0
+# unused), so that a table renders as one copy, one slot fill and one join.
 _HEADER = "".join(f"{d:>4}" for d in range(1, 32))
 _CELLS = {color: tuple(_cell(age, color) for age in range(32)) for color in (False, True)}
-_LABELS = tuple(f"\n{_MONTH_NAMES[m - 1]:<4}" if d == 1 else "" for m, d in _TABLE_DATES)
-_CSV_DAYS = tuple(f"{m},{d}," for m, d in _TABLE_DATES)
+_LABELS = _layout([f"\n{_MONTH_NAMES[m - 1]:<4}" if d == 1 else "" for m, d in _TABLE_DATES])
+_CSV_DAYS = _layout([f"{m},{d}," for m, d in _TABLE_DATES])
 _CSV_AGES = tuple(f"{age},{int(age == 1)},{int(age == 14)}\n" for age in range(32))
-_JSON_DATES = tuple(f'    {{\n      "month": {m},\n      "day": {d},\n' for m, d in _TABLE_DATES)
+_JSON_DATES = _layout(
+    [f'    {{\n      "month": {m},\n      "day": {d},\n' for m, d in _TABLE_DATES], ",\n"
+)
 _JSON_AGES = tuple(
     f'      "age": {age},\n      "new_moon": {str(age == 1).lower()},\n'
     f'      "full_moon": {str(age == 14).lower()}\n    }}'
     for age in range(32)
 )
-# Transition JSON items, {day, age} for days 1..31.
-_JSON_DAYS = tuple(f'    {{\n      "day": {d},\n' for d in range(1, 32))
+_JSON_DAYS = _layout([f'    {{\n      "day": {d},\n' for d in range(1, 32)], ",\n")  # transitions
 _JSON_DAY_AGES = tuple(f'      "age": {age}\n    }}' for age in range(32))
+_TWO = tuple(f"{n:02d}" for n in range(32))  # month and day numbers in dates
 
 
-def _join(sep: str, days: tuple[str, ...], fragments: tuple[str, ...], ages) -> str:
-    return sep.join(map(str.__add__, days, map(fragments.__getitem__, ages)))
+def _join(layout: list[str], fragments: tuple[str, ...], ages) -> str:
+    parts = layout.copy()
+    parts[1::2] = [fragments[age] for age in ages]
+    return "".join(parts)
 
 
 def _json(year: int, mode: core.MoonAgeMode, **lists: str) -> str:
@@ -100,11 +108,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     year, mode = core._check_year(args.year), core.MoonAgeMode(args.mode)
     ages = core._ages(year, mode)
     if args.format == "json":
-        print(_json(year, mode, entries=_join(",\n", _JSON_DATES, _JSON_AGES, ages)))
+        print(_json(year, mode, entries=_join(_JSON_DATES, _JSON_AGES, ages)))
     elif args.format == "csv":
-        print(",".join(tables.CSV_HEADER) + "\n" + _join("", _CSV_DAYS, _CSV_AGES, ages), end="")
+        print(",".join(tables.CSV_HEADER) + "\n" + _join(_CSV_DAYS, _CSV_AGES, ages), end="")
     else:
-        body = _join("", _LABELS, _CELLS[args.color], ages)
+        body = _join(_LABELS, _CELLS[args.color], ages)
         print(f"year {year} ({mode.value})", "    " + _HEADER + body, sep="\n")
     return 0
 
@@ -113,7 +121,7 @@ def _cmd_transition(args: argparse.Namespace) -> int:
     mode = core.MoonAgeMode(args.mode)
     year, december, january = core._boundary(args.year, mode)
     if args.format == "json":
-        items = [_join(",\n", _JSON_DAYS, _JSON_DAY_AGES, ages) for ages in (december, january)]
+        items = [_join(_JSON_DAYS, _JSON_DAY_AGES, ages) for ages in (december, january)]
         print(_json(year, mode, december=items[0], january=items[1]))
     elif args.format == "csv":
         rows = [f"{year - 1},12,{d},{age}\n" for d, age in enumerate(december, 1)]
@@ -134,7 +142,7 @@ def _cmd_transition(args: argparse.Namespace) -> int:
 
 def _cmd_new_moons(args: argparse.Namespace) -> int:
     year, mode = args.year, core.MoonAgeMode(args.mode)
-    dates = [_iso(year, *date) for date in tables.new_moon_dates(year, mode)]
+    dates = [f"{year}-{_TWO[m]}-{_TWO[d]}" for m, d in tables.new_moon_dates(year, mode)]
     if args.format == "json":
         print(_json(year, mode, dates=",\n".join(f'    "{date}"' for date in dates)))
     else:
@@ -144,7 +152,7 @@ def _cmd_new_moons(args: argparse.Namespace) -> int:
 
 def _cmd_easter(args: argparse.Namespace) -> int:
     month, day = tables.easter_date(args.year)
-    print(_iso(args.year, month, day))
+    print(f"{args.year}-{_TWO[month]}-{_TWO[day]}")
     return 0
 
 
@@ -256,7 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if isinstance(argv, (str, bytes)):  # list() would take it one character at a time
+        raise TypeError(f"argv must be an iterable of str, not {type(argv).__name__}")
+    argv = sys.argv[1:] if argv is None else list(argv)
     for i, word in enumerate(argv):
         if not isinstance(word, str):
             raise TypeError(f"argv[{i}] must be str, not {type(word).__name__}")

@@ -254,6 +254,30 @@ def test_main_rejects_a_word_that_is_not_a_str(argv):
         cli.main(argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "2033", "--mode", "pronounced", "--format", "json"],  # the quick parse
+        ["table", "2033", "--mode=pronounced", "--format=json"],  # argparse
+    ],
+    ids=["quick", "argparse"],
+)
+def test_main_takes_any_iterable_of_str(capsys, argv):
+    # Both parsers read argv more than once, so main takes it as a list first.
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and expected[1]
+    for words in (iter(argv), (word for word in argv), tuple(argv)):
+        assert (cli.main(words), *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("argv", ["table 2033", b"table 2033"], ids=["str", "bytes"])
+def test_main_rejects_a_string_argv(argv):
+    # Taken as an iterable, a string would be parsed one character at a time.
+    name = type(argv).__name__
+    with pytest.raises(TypeError, match=rf"^argv must be an iterable of str, not {name}$"):
+        cli.main(argv)
+
+
 def test_broken_pipe_exits_quietly():
     # The read end is closed before the child writes, so its first write
     # to stdout fails.

@@ -9,8 +9,9 @@ Tables fill each day's age into a layout built at import and join it, byte
 for byte as ``json.dumps(indent=2)`` and ``csv.writer`` render the tables.
 
 A table command in its plain form (an ASCII-digit year, then only the whole
-words ``--mode V``, ``--format V`` and ``--color``) skips argparse, which is
-imported only for help, usage errors and every other spelling.
+words ``--mode V``, ``--format V`` and ``--color``) skips argparse, which only
+``_build_parser`` imports, for help, usage errors and every other spelling.
+Each handler takes its parsed values as keywords, under argparse's dest names.
 """
 
 from __future__ import annotations
@@ -18,26 +19,11 @@ from __future__ import annotations
 import functools
 import os
 import sys
-import types
 
 from . import core, tables
 from .core import _TABLE_DATES
 
-TYPE_CHECKING = False  # type checkers take it as true
-if TYPE_CHECKING:
-    import argparse
-
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
-
-
-def _parse_date(text: str) -> tuple[int, int, int]:
-    try:
-        year, month, day = map(int, text.split("-"))
-    except ValueError:  # not three parts, or a part that is not an integer
-        import argparse
-
-        raise argparse.ArgumentTypeError(f"expected year-month-day, got {text!r}") from None
-    return year, month, day
 
 
 def _cell(age: int, color: bool) -> str:
@@ -83,53 +69,52 @@ def _join(layout: list[str], fragments: tuple[str, ...], ages) -> str:
 
 def _json(year: int, mode: core.MoonAgeMode, **lists: str) -> str:
     # json.dumps(indent=2) of {year, mode, name: [items], ...}, items rendered.
-    fields = [f'{{\n  "year": {year}', f'  "mode": "{mode.value}"']
-    fields += [f'  "{name}": [\n{items}\n  ]' for name, items in lists.items()]
-    return ",\n".join(fields) + "\n}"
+    fields = "".join(f',\n  "{name}": [\n{items}\n  ]' for name, items in lists.items())
+    return f'{{\n  "year": {year},\n  "mode": "{mode.value}"{fields}\n}}'
 
 
-def _cmd_epact(args: argparse.Namespace) -> int:
-    e = core.epact(args.year)
-    letter = tables.martyrology_letter(e, tables.load_letter_map(args.letters))
+def _cmd_epact(year: int, letters: str | None) -> int:
+    e = core.epact(year)
+    letter = tables.martyrology_letter(e, tables.load_letter_map(letters))
     print(
-        f"epact {e.label} ({e.value}), golden {core.golden_number(args.year)}, "
-        f"century {core.century_number(args.year)}, letter {letter.symbol}"
+        f"epact {e.label} ({e.value}), golden {core.golden_number(year)}, "
+        f"century {core.century_number(year)}, letter {letter.symbol}"
     )
     return 0
 
 
-def _cmd_moon_age(args: argparse.Namespace) -> int:
-    year, month, day = args.date
-    print(core.age_in_mode(year, month, day, core.MoonAgeMode(args.mode)))
+def _cmd_moon_age(date: tuple[int, int, int], mode: str) -> int:
+    year, month, day = date
+    print(core.age_in_mode(year, month, day, core.MoonAgeMode(mode)))
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    year, mode = core._check_year(args.year), core.MoonAgeMode(args.mode)
+def _cmd_table(year: int, mode: str, format: str, color: bool) -> int:
+    year, mode = core._check_year(year), core.MoonAgeMode(mode)
     ages = core._ages(year, mode)
-    if args.format == "json":
+    if format == "json":
         print(_json(year, mode, entries=_join(_JSON_DATES, _JSON_AGES, ages)))
-    elif args.format == "csv":
+    elif format == "csv":
         print(",".join(tables.CSV_HEADER) + "\n" + _join(_CSV_DAYS, _CSV_AGES, ages), end="")
     else:
-        body = _join(_LABELS, _CELLS[args.color], ages)
+        body = _join(_LABELS, _CELLS[color], ages)
         print(f"year {year} ({mode.value})", "    " + _HEADER + body, sep="\n")
     return 0
 
 
-def _cmd_transition(args: argparse.Namespace) -> int:
-    mode = core.MoonAgeMode(args.mode)
-    year, december, january = core._boundary(args.year, mode)
-    if args.format == "json":
+def _cmd_transition(year: int, mode: str, format: str, color: bool) -> int:
+    mode = core.MoonAgeMode(mode)
+    year, december, january = core._boundary(year, mode)
+    if format == "json":
         items = [_join(_JSON_DAYS, _JSON_DAY_AGES, ages) for ages in (december, january)]
         print(_json(year, mode, december=items[0], january=items[1]))
-    elif args.format == "csv":
+    elif format == "csv":
         rows = [f"{year - 1},12,{d},{age}\n" for d, age in enumerate(december, 1)]
         rows += [f"{year},1,{d},{age}\n" for d, age in enumerate(january, 1)]
         print("year,month,day,age\n" + "".join(rows), end="")
     else:
         # "Jan <year>" is never shorter than "Dec <year - 1>".
-        width, cells = len(f"Jan {year}") + 2, _CELLS[args.color].__getitem__
+        width, cells = len(f"Jan {year}") + 2, _CELLS[color].__getitem__
         print(
             f"December/January boundary of {year} ({mode.value} January)",
             " " * width + _HEADER,
@@ -140,26 +125,25 @@ def _cmd_transition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_new_moons(args: argparse.Namespace) -> int:
-    year, mode = args.year, core.MoonAgeMode(args.mode)
+def _cmd_new_moons(year: int, mode: str, format: str) -> int:
+    mode = core.MoonAgeMode(mode)
     dates = [f"{year}-{_TWO[m]}-{_TWO[d]}" for m, d in tables.new_moon_dates(year, mode)]
-    if args.format == "json":
+    if format == "json":
         print(_json(year, mode, dates=",\n".join(f'    "{date}"' for date in dates)))
     else:
         print("\n".join(dates))
     return 0
 
 
-def _cmd_easter(args: argparse.Namespace) -> int:
-    month, day = tables.easter_date(args.year)
-    print(f"{args.year}-{_TWO[month]}-{_TWO[day]}")
+def _cmd_easter(year: int) -> int:
+    month, day = tables.easter_date(year)
+    print(f"{year}-{_TWO[month]}-{_TWO[day]}")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(**bounds: int) -> int:
     from . import verify  # only a sweep needs it, so other commands never load it
     # A bound the user left out is absent, so it takes verify_range's default.
-    bounds = {name: value for name, value in vars(args).items() if name in ("start", "end")}
     report = verify.verify_range(**bounds)
     print(f"verifying years {report.start}..{report.end}")
     for check in report.checks:
@@ -186,8 +170,8 @@ _TABLE_COMMANDS = {
 }
 
 
-def _quick(argv: list[str]) -> types.SimpleNamespace | None:
-    # What argparse returns for a table command in its plain form, without
+def _quick(argv: list[str]) -> dict | None:
+    # vars() of argparse's result for a table command in its plain form, without
     # argparse; None for anything else, which argparse then parses or rejects.
     if len(argv) < 2:
         return None
@@ -209,22 +193,28 @@ def _quick(argv: list[str]) -> types.SimpleNamespace | None:
         year = int(year)
     except ValueError:  # more digits than int() reads: argparse says so
         return None
-    return types.SimpleNamespace(command=command, year=year, handler=handler, **args)
-
-
-def _add_choice(parser: argparse.ArgumentParser, flag: str, choices: tuple, text: str) -> None:
-    default = choices[0]
-    parser.add_argument(flag, choices=choices, default=default, help=f"{text} (default {default})")
+    return {"command": command, "year": year, "handler": handler, **args}
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     # Built on first use and kept: parsing leaves the parser unchanged.
     import argparse
 
     class _Parser(argparse.ArgumentParser):
         def print_help(self, file=None) -> None:  # argparse's own writer drops write errors
             print(self.format_help(), end="", file=file)
+
+    def _parse_date(text: str) -> tuple[int, int, int]:
+        try:
+            year, month, day = map(int, text.split("-"))
+        except ValueError:  # not three parts, or a part that is not an integer
+            raise argparse.ArgumentTypeError(f"expected year-month-day, got {text!r}") from None
+        return year, month, day
+
+    def _add_choice(parser: argparse.ArgumentParser, flag: str, choices: tuple, text: str):
+        text = f"{text} (default {choices[0]})"
+        parser.add_argument(flag, choices=choices, default=choices[0], help=text)
 
     parser = _Parser(
         prog="computus",
@@ -270,9 +260,10 @@ def main(argv: list[str] | None = None) -> int:
     for i, word in enumerate(argv):
         if not isinstance(word, str):
             raise TypeError(f"argv[{i}] must be str, not {type(word).__name__}")
-    args = _quick(argv) or _build_parser().parse_args(argv)
+    args = _quick(argv) or vars(_build_parser().parse_args(argv))
+    del args["command"]
     try:
-        return args.handler(args)
+        return args.pop("handler")(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

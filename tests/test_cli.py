@@ -505,7 +505,7 @@ def test_quick_parse_is_argparse_or_declines(argv):
         # Only the plain form: an ASCII-digit year, then whole words.
         assert argv[1].isascii() and argv[1].isdigit()
         assert set(argv[2:]) <= _PLAIN_WORDS
-        assert vars(quick) == _argparse(argv)
+        assert quick == _argparse(argv)
 
 
 @pytest.mark.parametrize(
@@ -518,7 +518,7 @@ def test_quick_parse_is_argparse_or_declines(argv):
 )
 def test_quick_parse_takes_plain_table_commands(argv):
     quick = cli._quick(argv)
-    assert quick is not None and vars(quick) == _argparse(argv)
+    assert quick is not None and quick == _argparse(argv)
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

@@ -8,10 +8,12 @@ queries, two verify sweeps and the package's own input errors.  ``--help``
 and argparse usage errors are left out: their text depends on the terminal
 width and the Python version.
 
-After an intended output change, rewrite the fixture with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review its diff.
+Without pytest, ``PYTHONPATH=src python tests/test_cli_golden.py`` runs the
+same check and exits 1 naming the first changed commands.  After an intended
+output change, rewrite the fixture by adding ``--write`` and review its diff.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -79,15 +81,34 @@ def digest(argv):
     return hashlib.sha256(record.encode()).hexdigest()
 
 
-def test_cli_output_matches_golden():
+def digests():
+    return {" ".join(argv): digest(argv) for argv in commands()}
+
+
+def changed_commands(actual):
+    # Commands whose digest differs from the fixture's, or that one side lacks.
     golden = json.loads(GOLDEN.read_text("utf-8"))
-    actual = {" ".join(argv): digest(argv) for argv in commands()}
-    assert actual.keys() == golden.keys()
-    changed = [command for command, value in actual.items() if value != golden[command]]
-    assert not changed, f"{len(changed)} commands changed output, first: {changed[:5]}"
+    commands = {**actual, **golden}
+    return [command for command in commands if actual.get(command) != golden.get(command)]
+
+
+def report(changed):
+    return f"{len(changed)} commands changed output, first: {changed[:5]}"
+
+
+def test_cli_output_matches_golden():
+    changed = changed_commands(digests())
+    assert not changed, report(changed)
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    table = {" ".join(argv): digest(argv) for argv in commands()}
-    GOLDEN.write_text(json.dumps(table, indent=0) + "\n", "utf-8")
+    parser = argparse.ArgumentParser(description="Check the CLI output against the fixture.")
+    parser.add_argument("--write", action="store_true", help="rewrite the fixture instead")
+    actual = digests()
+    if parser.parse_args().write:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(actual, indent=0) + "\n", "utf-8")
+    elif changed := changed_commands(actual):
+        raise SystemExit(report(changed))
+    else:
+        print(f"{len(actual)} commands match {GOLDEN.name}")

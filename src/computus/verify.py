@@ -3,9 +3,11 @@
 One pass of the epact recurrence drives all year-level identity checks;
 day-level checks (age succession, new-year continuity, the Easter window)
 ride along, each read from the epact-class tables of its year and the year before.
-A step check is a pure function of the tables it reads, so a sweep walks each
-table, and each December/January pair with its jump, once, keyed by identity: the
-sweep holds what it keys, so no id recurs in a call and a fresh table is walked.
+A step check is a pure function of the tables it reads, so a process walks each
+table, and each December/January pair with its jump, once: the memo is keyed by
+identity and holds the tables it keys, so no id recurs and a fresh table is walked.
+A reused failed verdict still reports the sweep's own year.  Concurrent sweeps can
+at worst compute the same verdict twice.
 
 The sweep accumulates the recurrence itself from the public correction
 predicates, looked up on :mod:`computus.recurrence` every year, rather than
@@ -75,6 +77,9 @@ def _corrected_resets(year_jump: int) -> tuple[int, ...]:
     return (29, 30, 30 - year_jump)
 
 
+_walked: dict = {}  # key -> (tables, held so no id recurs; first bad step; window's Jan 1 gap)
+
+
 def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     """Check every published identity and structural property over a range.
 
@@ -96,7 +101,6 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     csucc = PropertyCheck("corrected December-January succession", True, boundary)
     cont = PropertyCheck("new year continuity", True, boundary)
     east = PropertyCheck("easter window", True, dated)
-    walked: dict = {}  # key -> the tables it names, held so that no id is reused
 
     value = recurrence.ANCHOR_EPACT
     solar_total = lunar_total = 0
@@ -130,24 +134,27 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
             continue
 
         ages = core._ages(year)
-        if id(ages) not in walked:
-            walked[id(ages)] = ages
-            bad = _first_bad_step(ages, (29, 30))
-            if bad >= 0:
-                _fail(succ, f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
+        if id(ages) not in _walked:
+            _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))
+        bad = _walked[id(ages)][1]
+        if bad >= 0:
+            _fail(succ, f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
 
         if year > core.YEAR_MIN:
             pair = core._ages(year - 1), core._ages(year, core._CORRECTED)
             key = (id(pair[0]), id(pair[1]), year_jump)
-            if key not in walked:
-                walked[key] = pair
+            held = _walked.get(key)
+            if held is None or held[1] >= 0 or held[2]:
                 dec, jan = core._window(*pair)
                 window = dec + jan
-                bad = _first_bad_step(window, _corrected_resets(year_jump))
+                if held is None:
+                    bad = _first_bad_step(window, _corrected_resets(year_jump))
+                    held = _walked[key] = pair, bad, (jan[0] - dec[-1] - 1) % 30 != 0
+                _, bad, gap = held
                 if bad >= 0:
                     _fail(csucc, f"year {year}: boundary day {bad} age {window[bad]} "
                           f"then {window[bad + 1]}")
-                if (jan[0] - dec[-1] - 1) % 30:
+                if gap:
                     _fail(cont, f"year {year}: Dec 31 age {dec[-1]}, corrected Jan 1 {jan[0]}")
 
         em, ed = tables.easter_date(year)

@@ -5,9 +5,11 @@ from computus import (
     Epact,
     LunationBranch,
     MoonAgeMode,
+    age_in_mode,
     century_number,
     corrected_age,
     day_number,
+    day_of_week,
     easter_date,
     epact,
     epact_label,
@@ -180,6 +182,13 @@ def test_moon_age_leap_day():
     with pytest.raises(ValueError):
         moon_age(1900, 2, 29)
     assert moon_age(2000, 2, 29) == moon_age(2000, 2, 28)
+
+
+def test_leap_day_of_a_common_year_near_the_ceiling():
+    # 3,999,999 is a common year: each dated entry point refuses its Feb 29
+    for function in (moon_age, age_in_mode, day_of_week):
+        with pytest.raises(ValueError, match="February 29 does not exist in 3999999"):
+            function(3_999_999, 2, 29)
 
 
 def test_calendar_date_tuple_behaviour():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from computus import core, verify, verify_range
@@ -62,6 +64,28 @@ def test_injected_easter_fault_is_caught(monkeypatch):
     report = verify_range(1583, 1700)
     assert [(c.name, c.years_checked, c.counterexample) for c in report.failures] == [
         ("easter window", 118, "year 1650: easter 04-26")
+    ]
+
+
+def test_easter_before_march_22_is_caught(monkeypatch):
+    real = verify.tables.easter_date
+    monkeypatch.setattr(
+        verify.tables, "easter_date", lambda y: core.CalendarDate(3, 21) if y == 1650 else real(y)
+    )
+    report = verify_range(1583, 1700)
+    assert [(c.name, c.years_checked, c.counterexample) for c in report.failures] == [
+        ("easter window", 118, "year 1650: easter 03-21")
+    ]
+
+
+def test_alternate_lunar_sum_fault_above_a_million_is_caught(monkeypatch):
+    real = verify.recurrence.lunar_sum_alt
+    monkeypatch.setattr(verify.recurrence, "lunar_sum_alt", lambda y: real(y) + 1)
+    lunar = verify.recurrence.lunar_sum(1_000_001)
+    report = verify_range(1_000_001, 1_000_001)
+    assert [(c.name, c.years_checked, c.counterexample) for c in report.failures] == [
+        ("alternate lunar sum equivalence", 1,
+         f"year 1000001: lunar_sum {lunar}, alternate form {lunar + 1}")
     ]
 
 
@@ -184,6 +208,55 @@ def test_fresh_table_on_every_call_is_walked(monkeypatch):
         "raw age succession": (118, "year 1650: day 339 age 12 then 14"),
         "corrected December-January succession": (117, "year 1651: boundary day 5 age 12 then 14"),
     }
+
+
+def _stable_fault(monkeypatch, key, day, by=1):
+    """Make one class table wrong on one day by ``by`` (mod 30), as the same
+    tuple on every call, so that a later sweep finds its verdict in the memo."""
+    real = core._class_ages
+    ages = real(*key)
+    wrong = ages[:day] + ((ages[day] + by - 1) % 30 + 1,) + ages[day + 1 :]
+    monkeypatch.setattr(core, "_class_ages", lambda *args: wrong if args == key else real(*args))
+
+
+def _twice(start, end):
+    # Two sweeps of one range in one process: the second reads the memo.
+    first, second = verify_range(start, end), verify_range(start, end)
+    assert dataclasses.asdict(first) == dataclasses.asdict(second)
+    return second
+
+
+def test_remembered_raw_fault_is_reported_again(monkeypatch):
+    assert verify_range(1583, 1700).ok
+    _stable_fault(monkeypatch, (7, False, 0), 200)
+    failing = _failing(_twice(1583, 1700))
+    assert set(failing) == {"raw age succession"}
+    years, counterexample = failing["raw age succession"]
+    assert years == 118 and counterexample.startswith("year 1583:")
+
+
+def test_remembered_window_fault_is_reported_again(monkeypatch):
+    # Jan 1 off by 15: a continuity test taken mod 15 instead of 30 misses it
+    assert verify_range(1583, 1700).ok
+    _stable_fault(monkeypatch, (1, False, 1), 0, by=15)
+    failing = _failing(_twice(1583, 1700))
+    assert set(failing) == {"new year continuity", "corrected December-January succession"}
+    for years, counterexample in failing.values():
+        assert years == 117 and counterexample.startswith("year 1596:")
+
+
+def test_second_sweep_walks_no_table(monkeypatch):
+    verify_range(1583, 1700)
+    calls = []
+    real = verify._first_bad_step
+
+    def first_bad_step(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_first_bad_step", first_bad_step)
+    assert verify_range(1583, 1700).ok
+    assert calls == []
 
 
 _DATED_CHECKS = {

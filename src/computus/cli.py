@@ -8,9 +8,10 @@ the command stops writing and exits 0 without a message.
 Tables fill each day's age into a layout built at import and join it, byte
 for byte as ``json.dumps(indent=2)`` and ``csv.writer`` render the tables.
 
-A table command in its plain form (an ASCII-digit year, then only the whole
-words ``--mode V``, ``--format V`` and ``--color``) skips argparse, which only
-``_build_parser`` imports, for help, usage errors and every other spelling.
+``_GRAMMAR`` declares every command once.  A command in its plain form (its
+positional in ASCII digits, then only whole-word options) skips argparse, which
+only ``_build_parser`` imports, for help, usage errors, ``--opt=value``,
+prefixes, ``--``, options before the positional, signed or non-ASCII numbers.
 Each handler takes its parsed values as keywords, under argparse's dest names.
 """
 
@@ -159,41 +160,69 @@ def _cmd_verify(**bounds: int) -> int:
 
 
 _MODES = tuple(m.value for m in core.MoonAgeMode)  # the first, raw, is the default
-_GRID_FORMATS = ("text", "csv", "json")
-# The table commands share a year, a January mode and an output format (the
-# first listed is the default); new-moons prints a list of dates, so it has
-# no CSV and no colour.  Per command: handler, help, formats, --color.
-_TABLE_COMMANDS = {
-    "table": (_cmd_table, "day-by-day lunar table for a year", _GRID_FORMATS, True),
-    "transition": (_cmd_transition, "December/January ages around a new year", _GRID_FORMATS, True),
-    "new-moons": (_cmd_new_moons, "dates of the year's new moons", ("text", "json"), False),
-}
+_MODE = ("--mode", "mode", _MODES, "January treatment")
+_GRID = [_MODE, ("--format", "format", ("text", "csv", "json"), "output format"),
+         ("--color", "color", bool, "ANSI colour in text output")]  # fmt: skip
+# Every command's handler, help, positional ("year", "date" or None) and
+# options, in help order.  An option is (flag, dest, kind, help), plus a metavar
+# for a str or int; its kind is its choices (the first the default), bool for a
+# flag, str for a value that defaults to None, or int for one absent if left out.
+_GRAMMAR = {
+    "epact": (_cmd_epact, "epact, golden number, century and letter of a year", "year",
+              [("--letters", "letters", str, "custom letter mapping JSON file", "PATH")]),
+    "moon-age": (_cmd_moon_age, "age of the moon on a date", "date", [_MODE]),
+    "table": (_cmd_table, "day-by-day lunar table for a year", "year", _GRID),
+    "transition": (_cmd_transition, "December/January ages around a new year", "year", _GRID),
+    "new-moons": (_cmd_new_moons, "dates of the year's new moons", "year",
+                  [_MODE, ("--format", "format", ("text", "json"), "output format")]),
+    "easter": (_cmd_easter, "date of Easter Sunday", "year", []),
+    "verify": (_cmd_verify, "run the property sweep over a year range", None,
+               [("--from", "start", int, None, "FROM_YEAR"),
+                ("--to", "end", int, None, "TO_YEAR")]),
+}  # fmt: skip
+_PLAIN = {  # per command, for _quick: vars() with no option given, positional, flags
+    name: (
+        {"command": name, "handler": handler}
+        | {dest: False if kind is bool else None if kind is str else kind[0]
+           for _, dest, kind, *_ in options if kind is not int},
+        positional,
+        {flag: (dest, kind) for flag, dest, kind, *_ in options},
+    )
+    for name, (handler, _, positional, options) in _GRAMMAR.items()
+}  # fmt: skip
+
+
+def _int(word: str) -> int:
+    if not (word.isascii() and word.isdigit()):  # argparse reads signs, spaces, other digits
+        raise ValueError(word)
+    return int(word)  # ValueError past the digits int() reads, which argparse reports
 
 
 def _quick(argv: list[str]) -> dict | None:
-    # vars() of argparse's result for a table command in its plain form, without
-    # argparse; None for anything else, which argparse then parses or rejects.
-    if len(argv) < 2:
+    # vars() of argparse's result for a command in its plain form, without
+    # argparse: the command, its positional in ASCII digits, then only whole-
+    # word options.  None for anything else, which argparse parses or rejects.
+    if not argv or argv[0] not in _PLAIN:
         return None
-    command, year, *words = argv
-    if command not in _TABLE_COMMANDS or not (year.isascii() and year.isdigit()):
-        return None
-    handler, _, formats, color = _TABLE_COMMANDS[command]
-    args = {"mode": _MODES[0], "format": formats[0]} | ({"color": False} if color else {})
-    choices = {"--mode": _MODES, "--format": formats}
-    words = iter(words)
-    for word in words:
-        if word == "--color" and color:
-            args["color"] = True
-        elif word in choices and (value := next(words, None)) in choices[word]:
-            args[word[2:]] = value
-        else:
-            return None
+    args, positional, flags = _PLAIN[argv[0]]
+    args, words = args.copy(), iter(argv[1:])
     try:
-        year = int(year)
-    except ValueError:  # more digits than int() reads: argparse says so
+        if positional == "year":
+            args["year"] = _int(next(words))
+        elif positional == "date":
+            year, month, day = map(_int, next(words).split("-"))
+            args["date"] = year, month, day
+        for word in words:
+            dest, kind = flags[word]
+            value = True if kind is bool else next(words)
+            if kind is int:
+                value = _int(value)
+            elif kind is str and value.startswith("-") or type(kind) is tuple and value not in kind:
+                return None  # a choice it lacks, or a str that argparse reads as an option
+            args[dest] = value
+    except (KeyError, StopIteration, ValueError):  # another word, a missing value or number
         return None
-    return {"command": command, "year": year, "handler": handler, **args}
+    return args
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,44 +241,28 @@ def _build_parser():
             raise argparse.ArgumentTypeError(f"expected year-month-day, got {text!r}") from None
         return year, month, day
 
-    def _add_choice(parser: argparse.ArgumentParser, flag: str, choices: tuple, text: str):
-        text = f"{text} (default {choices[0]})"
-        parser.add_argument(flag, choices=choices, default=choices[0], help=text)
-
     parser = _Parser(
         prog="computus",
         description="Age of the ecclesiastical moon in the Gregorian calendar.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("epact", help="epact, golden number, century and letter of a year")
-    p.add_argument("year", type=int)
-    p.add_argument("--letters", metavar="PATH", help="custom letter mapping JSON file")
-    p.set_defaults(handler=_cmd_epact)
-
-    p = sub.add_parser("moon-age", help="age of the moon on a date")
-    p.add_argument("date", type=_parse_date, help="year-month-day, e.g. 1945-08-15")
-    _add_choice(p, "--mode", _MODES, "January treatment")
-    p.set_defaults(handler=_cmd_moon_age)
-
-    for name, (handler, text, formats, color) in _TABLE_COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("year", type=int)
-        _add_choice(p, "--mode", _MODES, "January treatment")
-        _add_choice(p, "--format", formats, "output format")
-        if color:
-            p.add_argument("--color", action="store_true", help="ANSI colour in text output")
+    for name, (handler, summary, positional, options) in _GRAMMAR.items():
+        p = sub.add_parser(name, help=summary)
+        if positional == "year":
+            p.add_argument("year", type=int)
+        elif positional == "date":
+            p.add_argument("date", type=_parse_date, help="year-month-day, e.g. 1945-08-15")
+        for flag, dest, kind, text, *meta in options:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
+            elif type(kind) is tuple:
+                text = f"{text} (default {kind[0]})"
+                p.add_argument(flag, dest=dest, choices=kind, default=kind[0], help=text)
+            else:  # a str left out is None, an int left out is absent
+                default = None if kind is str else argparse.SUPPRESS
+                p.add_argument(flag, dest=dest, metavar=meta[0], type=kind, default=default,
+                               help=text)  # fmt: skip
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser("easter", help="date of Easter Sunday")
-    p.add_argument("year", type=int)
-    p.set_defaults(handler=_cmd_easter)
-
-    p = sub.add_parser("verify", help="run the property sweep over a year range")
-    p.add_argument("--from", dest="start", metavar="FROM_YEAR", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--to", dest="end", metavar="TO_YEAR", type=int, default=argparse.SUPPRESS)
-    p.set_defaults(handler=_cmd_verify)
-
     return parser
 
 

@@ -199,7 +199,7 @@ def load_letter_map(path: str | os.PathLike[str] | None = None) -> LetterMap:
     try:
         with open(os.fspath(path), encoding="utf-8") as file:  # fspath: no descriptor numbers
             raw = json.load(file)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, RecursionError, ValueError) as exc:  # unreadable, not UTF-8 or JSON, too deep
         raise ValueError(f"cannot read letter map: {exc}") from None
     epacts = raw.get("epacts") if isinstance(raw, dict) else None
     if not isinstance(epacts, dict):

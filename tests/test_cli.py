@@ -98,6 +98,15 @@ def test_epact_empty_letters_path_exits_2(capsys):
     assert "'.'" not in err  # the message names the path given, not the directory
 
 
+def test_epact_deeply_nested_letters_exit_2(capsys, tmp_path):
+    # json.load raises RecursionError, not ValueError, on nesting this deep.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(capsys, "epact", "1945", "--letters", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read letter map: ") and err.count("\n") == 1
+
+
 def test_moon_age_command(capsys):
     assert run_cli(capsys, "moon-age", "1945-08-15")[1].strip() == "7"
     assert (
@@ -415,9 +424,9 @@ def test_help_with_closed_stdout_exits_2():
 
 def test_cli_import_leaves_json_unloaded():
     # -S keeps site's own imports out.  Only a custom --letters file needs
-    # json, only a sweep needs verify and the dataclasses it uses, and a
-    # plain table command needs no argparse.  The tuple records are
-    # collections.namedtuple types, so no process loads typing or re.
+    # json, only a sweep needs verify and the dataclasses it uses, and no
+    # command in its plain form needs argparse.  The tuple records are
+    # collections.namedtuple types, so no other process loads typing or re.
     _, env = _console()
 
     def child(code):
@@ -435,9 +444,16 @@ def test_cli_import_leaves_json_unloaded():
         "import computus.cli",
         "from computus import core, recurrence, tables",
         "from computus.cli import main\nmain(['table', '2033', '--format', 'json'])",
+        "from computus.cli import main\nmain(['easter', '2033'])",
+        "from computus.cli import main\nmain(['epact', '1945'])",
+        "from computus.cli import main\nmain(['moon-age', '2033-01-01', '--mode', 'corrected'])",
     ):
         out = child(f"{statement}\nprint([m for m in {lazy!r} if m in sys.modules])")
         assert out.splitlines()[-1] == "[]"
+    # dataclasses, which verify's report needs, imports re itself.
+    sweep = "from computus.cli import main\nmain(['verify', '--to', '1584'])"
+    out = child(f"{sweep}\nprint([m for m in ('argparse', 'typing') if m in sys.modules])")
+    assert out.splitlines()[-1] == "[]"
     code = (
         "import computus\n"
         "before = 'computus.verify' in sys.modules\n"
@@ -447,15 +463,37 @@ def test_cli_import_leaves_json_unloaded():
     assert child(code) == "False True True\n"
 
 
-# The quick parse of plain table commands against argparse, on argv lists
-# drawn from the words either parser reads, near misses of them and junk.
+# The quick parse of plain commands against argparse, on argv lists drawn
+# from the words either parser reads, near misses of them and junk.
 _COMMANDS = ("epact", "moon-age", "table", "transition", "new-moons", "easter", "verify", "tab")
 _YEARS = ("2033", "02033", "0", "-5", "+5", " 12", "1_000", "\uff12\uff10\uff13\uff13", "abc")
-_OPTIONS = ("--mode", "--format", "--color", "--mo", "--mode=raw", "--", "-h", "--letters")
-_VALUES = (*(m.value for m in MoonAgeMode), "text", "csv", "json", "lunar")
-_WORDS = st.sampled_from(_COMMANDS + _YEARS + _OPTIONS + _VALUES)
-_PLAIN_WORDS = {"--mode", "--format", "--color", *_VALUES} - {"lunar"}
-_PAIRS = st.tuples(st.sampled_from(("--mode", "--format")), st.sampled_from(_VALUES)).map(list)
+_DATES = ("2033-01-01", "2033-1-1", "2033--01", "-2033-01-01", "+2033-01-1", "2033-13", "2033-1-1-1")
+_PLAIN_VALUES = {  # each option that takes a value, with values in plain form
+    "--mode": tuple(m.value for m in MoonAgeMode),
+    "--format": ("text", "csv", "json"),
+    "--letters": ("f", ""),
+    "--from": ("1584", "01583"),
+    "--to": ("1600",),
+}
+_NEAR_VALUES = {  # and values that argparse alone reads or rejects
+    "--mode": ("lunar",),
+    "--format": ("lunar",),
+    "--letters": ("-x", "--color"),
+    "--from": ("-5", "x", "\uff12"),
+    "--to": ("1_600", "+1600", " 1600"),
+}
+_OPTIONS = (*_PLAIN_VALUES, "--color", "--mo", "--mode=raw", "--to=1600", "--t", "--", "-h")
+_VALUES = tuple(itertools.chain(*_PLAIN_VALUES.values(), *_NEAR_VALUES.values()))
+_WORDS = st.sampled_from(_COMMANDS + _YEARS + _DATES + _OPTIONS + _VALUES)
+_WHOLE_OPTIONS = {*_PLAIN_VALUES, "--color"}
+
+
+def _pairs(*tables):
+    # An option and one of its values from any of the tables.
+    values = {flag: sum((table[flag] for table in tables), ()) for flag in tables[0]}
+    return st.sampled_from(sorted(values)).flatmap(
+        lambda flag: st.sampled_from(values[flag]).map(lambda value: [flag, value])
+    )
 
 
 def _argv(*head, group):
@@ -464,13 +502,37 @@ def _argv(*head, group):
     return st.builds(lambda *words: [*words[:-1], *words[-1]], *head, tail)
 
 
-_TABLE = st.sampled_from(_COMMANDS[2:5])
-_NEAR = st.one_of(_WORDS.map(lambda word: [word]), _PAIRS)
-_ARGV = st.one_of(
+_OWN_OPTIONS = {
+    "epact": ("--letters",),
+    "moon-age": ("--mode",),
+    "table": ("--mode", "--format", "--color"),
+    "transition": ("--mode", "--format", "--color"),
+    "new-moons": ("--mode", "--format"),
+    "easter": (),
+    "verify": ("--from", "--to"),
+}
+
+
+def _plain_argv(command):
+    # The command, a positional it takes, then its own options in plain form.
+    positional = {"verify": [], "moon-age": [st.sampled_from(_DATES[:2])]}.get(
+        command, [st.sampled_from(_YEARS[:3])]
+    )
+    flags = _OWN_OPTIONS[command]
+    groups = [[flag, value] for flag in flags for value in _PLAIN_VALUES.get(flag, ())]
+    groups += [["--color"]] * ("--color" in flags)
+    return _argv(st.just(command), *positional, group=st.sampled_from(groups or [[]]))
+
+
+_NEAR = st.one_of(_WORDS.map(lambda word: [word]), _pairs(_PLAIN_VALUES, _NEAR_VALUES))
+_PLAIN = st.sampled_from(_COMMANDS[:7]).flatmap(_plain_argv)
+_ARGV = st.one_of(  # near misses include another command's options, as in epact 1945 --mode raw
     st.lists(_WORDS, max_size=6),
     _argv(_WORDS, _WORDS, group=_NEAR),
-    _argv(_TABLE, st.sampled_from(_YEARS), group=_NEAR),
-    _argv(_TABLE, st.sampled_from(_YEARS[:3]), group=st.one_of(st.just(["--color"]), _PAIRS)),
+    _argv(st.sampled_from(_COMMANDS), st.sampled_from(_YEARS + _DATES), group=_NEAR),
+    _argv(st.just("verify"), group=_NEAR),
+    _PLAIN,
+    _PLAIN,  # twice, so that more draws reach the comparison with argparse
 )
 
 
@@ -499,12 +561,36 @@ def _argparse(argv):
 @example(["table", "+5"])
 @example(["table", "\uff12\uff10\uff13\uff13"])
 @example(["table", "9" * 5000])
+@example([])
+@example(["easter", "2033"])
+@example(["easter", "--", "2033"])
+@example(["epact", "\uff11\uff19\uff14\uff15"])
+@example(["epact", "1945", "--mode", "raw"])
+@example(["epact", "1945", "--letters", "f"])
+@example(["epact", "1945", "--letters", ""])
+@example(["epact", "1945", "--letters", "-x"])
+@example(["epact", "1945", "--letters=f"])
+@example(["moon-age", "2033-1-1"])
+@example(["moon-age", "2033--01"])
+@example(["moon-age", "-2033-01-01"])
+@example(["moon-age", "+2033-01-01"])
+@example(["moon-age", "2033-01"])
+@example(["moon-age", "9" * 5000 + "-01-01"])
+@example(["verify"])
+@example(["verify", "1584"])
+@example(["verify", "--to", "1584", "--from", "1583", "--to", "1600"])
+@example(["verify", "--to=1584"])
+@example(["verify", "--from", "-5"])
+@example(["verify", "--to", "9" * 5000])
 def test_quick_parse_is_argparse_or_declines(argv):
     quick = cli._quick(argv)
     if quick is not None:
-        # Only the plain form: an ASCII-digit year, then whole words.
-        assert argv[1].isascii() and argv[1].isdigit()
-        assert set(argv[2:]) <= _PLAIN_WORDS
+        # Only the plain form: the positional in ASCII digits, whole-word options.
+        words = argv[1:]
+        if argv[0] != "verify":
+            positional, *words = words
+            assert all(part.isascii() and part.isdigit() for part in positional.split("-"))
+        assert {word for word in words if word.startswith("-")} <= _WHOLE_OPTIONS
         assert quick == _argparse(argv)
 
 
@@ -514,9 +600,16 @@ def test_quick_parse_is_argparse_or_declines(argv):
         ["table", "2033", "--color", "--mode", "corrected", "--format", "csv", "--mode", "raw"],
         ["transition", "02033", "--format", "json", "--color"],
         ["new-moons", "2033", "--mode", "pronounced", "--format", "json"],
+        ["epact", "1945"],
+        ["epact", "1945", "--letters", "f", "--letters", ""],
+        ["moon-age", "2033-1-01", "--mode", "corrected"],
+        ["easter", "02033"],
+        ["verify"],
+        ["verify", "--to", "1584", "--from", "01583", "--to", "1600"],
     ],
 )
 def test_quick_parse_takes_plain_table_commands(argv):
+    # The plain form of every command, not only of the table commands.
     quick = cli._quick(argv)
     assert quick is not None and quick == _argparse(argv)
 

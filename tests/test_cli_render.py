@@ -152,7 +152,16 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     plain = _cli(capsys, "table", "2033", "--format", "text")
     assert "\x1b[" in colored
     assert "\x1b[" not in plain
-    assert len(served) == 1  # plain table commands never reach argparse
+    for argv in (
+        ["epact", "1945"],
+        ["moon-age", "2033-01-01", "--mode", "corrected"],
+        ["transition", "2033", "--format", "csv"],
+        ["new-moons", "2033"],
+        ["easter", "2033"],
+        ["verify", "--from", "1583", "--to", "1584"],
+    ):
+        _cli(capsys, *argv)
+    assert len(served) == 1  # no command in its plain form reaches argparse
     assert _cli(capsys, "table", "2033", "--format=text") == plain
     assert len(served) == 2 and len({id(p) for p in served}) == 1
     assert real.cache_info().misses == 1

@@ -15,10 +15,18 @@ reading :func:`computus.recurrence.epact_sequence`.  That loop uses the
 unchecked private predicates, so reading it would leave the public ones
 unchecked; routing it through the public ones instead would about double
 its cost per year for every other caller.
+
+No year before ``start`` is checked, so the walk up to it is kept: each state (the
+epact and the two running totals) before 1600, 1700, ... that a call's walk passes,
+keyed by the identity of the three predicates and holding them.  A later call resumes
+from the last state at or below its start, at most 99 years back.  This assumes pure
+predicates, as the table memo assumes immutable tables; a one-call ``computus verify``
+from 1583 records and gains nothing.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -78,6 +86,7 @@ def _corrected_resets(year_jump: int) -> tuple[int, ...]:
 
 
 _walked: dict = {}  # key -> (tables, held so no id recurs; first bad step; window's Jan 1 gap)
+_prefix: dict = {}  # predicate ids -> (predicates, held; flat states before 1583, 1600, 1700, ...)
 
 
 def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
@@ -102,9 +111,13 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     cont = PropertyCheck("new year continuity", True, boundary)
     east = PropertyCheck("easter window", True, dated)
 
-    value = recurrence.ANCHOR_EPACT
-    solar_total = lunar_total = 0
-    for year in range(core.YEAR_MIN, end + 1):
+    preds = recurrence.metonic_correction, recurrence.solar_correction, recurrence.lunar_correction
+    ids = tuple(map(id, preds))
+    saved = _prefix.get(ids, (preds, array("i", (recurrence.ANCHOR_EPACT, 0, 0))))[1]
+    kept = min(len(saved) // 3, start // 100 - 14)  # states at or below start
+    value, solar_total, lunar_total = saved[3 * kept - 3 : 3 * kept]
+    walked = array("i")
+    for year in range(max(core.YEAR_MIN, 100 * kept + 1400), end + 1):
         m = recurrence.metonic_correction(year)
         s = recurrence.solar_correction(year)
         lun = recurrence.lunar_correction(year)
@@ -112,6 +125,8 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         solar_total += s
         lunar_total += lun
         if year < start:
+            if year % 100 == 99:
+                walked.extend((value, solar_total, lunar_total))
             continue
 
         closed = core._epact_value(year)
@@ -161,4 +176,6 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         if not (3, 22) <= (em, ed) <= (4, 25):
             _fail(east, f"year {year}: easter {em:02d}-{ed:02d}")
 
+    if walked:
+        _prefix[ids] = preds, saved + walked
     return VerifyReport(start, end, [rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east])

@@ -118,11 +118,14 @@ def test_lunar_sum_alt():
 
 def test_lunar_sum_alt_agrees_everywhere():
     # the two century forms have breakpoints every 25 centuries; cover a
-    # few full cycles year by year and then every century far out
+    # few full cycles year by year and then the first and last year of every
+    # century far out
     for year in range(1583, 12000):
         assert lunar_sum_alt(year) == lunar_sum(year), year
     for century_year in range(12000, 10_000_001, 100):
         assert lunar_sum_alt(century_year) == lunar_sum(century_year), century_year
+    for last_year in range(12099, 10_000_000, 100):
+        assert lunar_sum_alt(last_year) == lunar_sum(last_year), last_year
 
 
 def test_jump_values():

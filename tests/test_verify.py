@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -279,3 +281,88 @@ def test_range_above_dated_ceiling():
     assert report.ok, report.failures
     for check in report.checks:
         assert check.years_checked == (0 if check.name in _DATED_CHECKS else 1), check.name
+
+
+_CHECKPOINT_RANGES = [
+    (1583, 1583),
+    (1599, 1601),
+    (1600, 1600),
+    (1699, 1701),
+    (1583, 2000),
+    (15150, 15250),
+    (1_000_001, 1_000_001),
+    (3_999_990, 4_000_050),
+    (4_000_001, 4_000_001),
+]
+
+
+def test_checkpoints_change_no_report(monkeypatch):
+    # Each cold sweep walks from 1583 with the memo empty, and keeps a state
+    # only if its walk passed a century year below its start; the last one
+    # leaves states up to 4,000,001, from which every warm sweep resumes.
+    cold = {}
+    for span in _CHECKPOINT_RANGES:
+        monkeypatch.setattr(verify, "_prefix", {})
+        cold[span] = dataclasses.asdict(verify_range(*span))
+        assert bool(verify._prefix) == (span[0] >= 1600), span
+    [(_, states)] = verify._prefix.values()
+    assert len(states) // 3 == 4_000_001 // 100 - 14
+    assert states.itemsize * len(states) <= 1 << 20
+    for span in _CHECKPOINT_RANGES:
+        assert dataclasses.asdict(verify_range(*span)) == cold[span], span
+
+
+def test_later_sweep_resumes_at_a_checkpoint(monkeypatch):
+    monkeypatch.setattr(verify, "_prefix", {})
+    calls = dict.fromkeys(["metonic_correction", "solar_correction", "lunar_correction"], 0)
+    for name in calls:
+
+        def counted(year, real=getattr(verify.recurrence, name), name=name):
+            calls[name] += 1
+            return real(year)
+
+        monkeypatch.setattr(verify.recurrence, name, counted)
+    assert verify_range(5000, 5010).ok
+    assert set(calls.values()) == {5010 - 1583 + 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert verify_range(5050, 5060).ok
+    assert all(11 <= n <= 99 + 11 for n in calls.values()), calls
+
+
+def test_new_predicate_walks_from_the_anchor(monkeypatch):
+    # A predicate changed after the memo was warmed keys its own states: the
+    # sweep reports what a process that never saw the real one reports.
+    monkeypatch.setattr(verify, "_prefix", {})
+    assert verify_range(2000, 2100).ok
+    real = verify.recurrence.lunar_correction
+    monkeypatch.setattr(
+        verify.recurrence, "lunar_correction", lambda y: 1 - real(y) if y == 1800 else real(y)
+    )
+    warm = dataclasses.asdict(verify_range(2000, 2100))
+    monkeypatch.setattr(verify, "_prefix", {})
+    cold = dataclasses.asdict(verify_range(2000, 2100))
+    assert warm == cold
+    assert [c["name"] for c in cold["checks"] if not c["ok"]] == [
+        "epact closed form vs recurrence",
+        "lunar sum identity",
+    ]
+
+
+def test_concurrent_sweeps_report_what_lone_sweeps_report(monkeypatch):
+    # Sweeps in threads read the checkpoints while others publish longer
+    # ones; a publication lost to a later one costs a walk, not a state.
+    spans = [(start, start + 3) for start in range(1600, 30_000, 1_237)]
+    expected = []
+    for span in spans:
+        monkeypatch.setattr(verify, "_prefix", {})
+        expected.append(dataclasses.asdict(verify_range(*span)))
+    monkeypatch.setattr(verify, "_prefix", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            reports = pool.map(lambda span: verify_range(*span), spans * 2, timeout=120)
+            got = [dataclasses.asdict(report) for report in reports]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 2

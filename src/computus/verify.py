@@ -6,8 +6,8 @@ ride along, each read from the epact-class tables of its year and the year befor
 A step check is a pure function of the tables it reads, so a process walks each
 table, and each December/January pair with its jump, once: the memo is keyed by
 identity and holds the tables it keys, so no id recurs and a fresh table is walked.
-A reused failed verdict still reports the sweep's own year.  Concurrent sweeps can
-at worst compute the same verdict twice.
+A pair's entry keeps each check's counterexample less the year, or False, so a hit
+only adds its year.  Concurrent sweeps can at worst compute the same verdict twice.
 
 The sweep accumulates the recurrence itself from the public correction
 predicates, looked up on :mod:`computus.recurrence` every year, rather than
@@ -16,12 +16,11 @@ unchecked private predicates, so reading it would leave the public ones
 unchecked; routing it through the public ones instead would about double
 its cost per year for every other caller.
 
-No year before ``start`` is checked, so the walk up to it is kept: each state (the
-epact and the two running totals) before 1600, 1700, ... that a call's walk passes,
-keyed by the identity of the three predicates and holding them.  A later call resumes
-from the last state at or below its start, at most 99 years back.  This assumes pure
-predicates, as the table memo assumes immutable tables; a one-call ``computus verify``
-from 1583 records and gains nothing.
+No year before ``start`` is checked, so the walk up to it is kept, keyed by the three
+predicates: each state (the epact and the two running totals) before 1600, 1700, ...
+that a call's walk passes.  A later call resumes from the last state at or below its
+start, at most 99 years back.  This assumes pure predicates, as the table memo assumes
+immutable tables; a one-call ``computus verify`` from 1583 records and gains nothing.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ def _corrected_resets(year_jump: int) -> tuple[int, ...]:
     return (29, 30, 30 - year_jump)
 
 
-_walked: dict = {}  # key -> (tables, held so no id recurs; first bad step; window's Jan 1 gap)
-_prefix: dict = {}  # predicate ids -> (predicates, held; flat states before 1583, 1600, 1700, ...)
+_walked: dict = {}  # key -> (tables, held so no id recurs; first bad step, or a pair's two texts)
+_prefix: dict = {}  # predicates, held so no id recurs -> flat states before 1583, 1600, 1700, ...
 
 
 def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
@@ -112,8 +111,7 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     east = PropertyCheck("easter window", True, dated)
 
     preds = recurrence.metonic_correction, recurrence.solar_correction, recurrence.lunar_correction
-    ids = tuple(map(id, preds))
-    saved = _prefix.get(ids, (preds, array("i", (recurrence.ANCHOR_EPACT, 0, 0))))[1]
+    saved = _prefix.get(preds, array("i", (recurrence.ANCHOR_EPACT, 0, 0)))
     kept = min(len(saved) // 3, start // 100 - 14)  # states at or below start
     value, solar_total, lunar_total = saved[3 * kept - 3 : 3 * kept]
     walked = array("i")
@@ -158,24 +156,24 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         if year > core.YEAR_MIN:
             pair = core._ages(year - 1), core._ages(year, core._CORRECTED)
             key = (id(pair[0]), id(pair[1]), year_jump)
-            held = _walked.get(key)
-            if held is None or held[1] >= 0 or held[2]:
+            if key not in _walked:
                 dec, jan = core._window(*pair)
                 window = dec + jan
-                if held is None:
-                    bad = _first_bad_step(window, _corrected_resets(year_jump))
-                    held = _walked[key] = pair, bad, (jan[0] - dec[-1] - 1) % 30 != 0
-                _, bad, gap = held
-                if bad >= 0:
-                    _fail(csucc, f"year {year}: boundary day {bad} age {window[bad]} "
-                          f"then {window[bad + 1]}")
-                if gap:
-                    _fail(cont, f"year {year}: Dec 31 age {dec[-1]}, corrected Jan 1 {jan[0]}")
+                bad = _first_bad_step(window, _corrected_resets(year_jump))
+                steps = bad >= 0 and f"boundary day {bad} age {window[bad]} then {window[bad + 1]}"
+                gap = (jan[0] - dec[-1] - 1) % 30 != 0 and (
+                    f"Dec 31 age {dec[-1]}, corrected Jan 1 {jan[0]}")
+                _walked[key] = pair, steps, gap
+            _, steps, gap = _walked[key]
+            if steps:
+                _fail(csucc, f"year {year}: {steps}")
+            if gap:
+                _fail(cont, f"year {year}: {gap}")
 
         em, ed = tables.easter_date(year)
         if not (3, 22) <= (em, ed) <= (4, 25):
             _fail(east, f"year {year}: easter {em:02d}-{ed:02d}")
 
     if walked:
-        _prefix[ids] = preds, saved + walked
+        _prefix[preds] = saved + walked
     return VerifyReport(start, end, [rec, ssum, lsum, lalt, jdec, succ, csucc, cont, east])

@@ -247,6 +247,25 @@ def test_remembered_window_fault_is_reported_again(monkeypatch):
         assert years == 117 and counterexample.startswith("year 1596:")
 
 
+def test_remembered_window_fault_reslices_nothing(monkeypatch):
+    # A failing window entry holds its counterexamples: a hit adds its year
+    # and builds no December/January window again.
+    _stable_fault(monkeypatch, (1, False, 1), 0, by=15)
+    first = _failing(verify_range(1583, 1700))
+    calls = []
+    real = core._window
+
+    def window(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_window", window)
+    second = _failing(verify_range(1583, 1700))
+    assert second == first
+    assert set(second) == {"new year continuity", "corrected December-January succession"}
+    assert calls == []
+
+
 def test_second_sweep_walks_no_table(monkeypatch):
     verify_range(1583, 1700)
     calls = []
@@ -305,7 +324,7 @@ def test_checkpoints_change_no_report(monkeypatch):
         monkeypatch.setattr(verify, "_prefix", {})
         cold[span] = dataclasses.asdict(verify_range(*span))
         assert bool(verify._prefix) == (span[0] >= 1600), span
-    [(_, states)] = verify._prefix.values()
+    [states] = verify._prefix.values()
     assert len(states) // 3 == 4_000_001 // 100 - 14
     assert states.itemsize * len(states) <= 1 << 20
     for span in _CHECKPOINT_RANGES:
@@ -327,6 +346,18 @@ def test_later_sweep_resumes_at_a_checkpoint(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert verify_range(5050, 5060).ok
     assert all(11 <= n <= 99 + 11 for n in calls.values()), calls
+
+
+def test_warm_sweep_checks_its_first_year(monkeypatch):
+    # A sweep resumes at or below its start, never past it: with states kept
+    # up to 1800, a fault in 1650 alone is still found.
+    monkeypatch.setattr(verify, "_prefix", {})
+    assert verify_range(1800, 1800).ok
+    real = verify.recurrence.solar_sum
+    monkeypatch.setattr(verify.recurrence, "solar_sum", lambda y: real(y) + (y == 1650))
+    assert _failing(verify_range(1650, 1650)) == {
+        "solar sum identity": (1, "year 1650: solar_sum 1, accumulated 0")
+    }
 
 
 def test_new_predicate_walks_from_the_anchor(monkeypatch):

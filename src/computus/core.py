@@ -6,8 +6,10 @@ numbering that ignores leap days, and a lunation cycle alternating 30- and
 29-day months.  A year's 365 ages depend only on its epact class (the 30
 epacts plus the special 25) and on a downward shift of its first January
 lunation, so each (class, shift) table is built once, on first use, and
-cached; there are at most 31 x 4 of them.  Everything in this module is a
-pure function of its arguments, so all of it is safe to call concurrently.
+cached; there are at most 31 x 4 of them.  So are the last 8 closed-form epacts,
+which one year's lookups ask for several times; a memo of fixed size stays small
+over any sweep.  Everything in this module is a pure function of its arguments,
+memo or not, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -185,6 +187,7 @@ def epact_label(value: int, special25: bool = False) -> str:
     return Epact(value, special25).label
 
 
+@functools.lru_cache(maxsize=8)
 def _epact_value(year: int) -> int:
     # No range check: the 1582 anchor and the verify sweeps need this raw.
     g = year % 19 + 1

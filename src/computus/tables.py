@@ -242,6 +242,7 @@ def day_of_week(year: int, month: int, day: int) -> Weekday:
 
 
 _MARCH_21 = core._day_number(3, 21)  # the earliest paschal full moon
+_MARCH_21_WEEKDAYS = tuple(_weekday(y, 3, 21) for y in range(400))  # 400 years are 20,871 weeks
 
 
 def easter_date(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> CalendarDate:
@@ -256,5 +257,5 @@ def easter_date(year: int, mode: MoonAgeMode = MoonAgeMode.RAW) -> CalendarDate:
     """
     year = _check_year(year)
     full = _ages(year, mode).index(14, _MARCH_21)
-    weekday = (_weekday(year, 3, 21) + full - _MARCH_21) % 7
+    weekday = (_MARCH_21_WEEKDAYS[year % 400] + full - _MARCH_21) % 7
     return _TABLE_DATES[full + 7 - weekday]

@@ -2,7 +2,8 @@
 
 One pass of the epact recurrence drives all year-level identity checks;
 day-level checks (age succession, new-year continuity, the Easter window)
-ride along, each read from the epact-class tables of its year and the year before.
+ride along, each read from the epact-class tables of its year and the year before:
+a year's raw table is the next year's December, so only a span's first year looks back.
 A step check is a pure function of the tables it reads, so a process walks each
 table, and each December/January pair with its jump, once: the memo is keyed by
 identity and holds the tables it keys, so no id recurs and a fresh table is walked.
@@ -115,11 +116,13 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
     kept = min(len(saved) // 3, start // 100 - 14)  # states at or below start
     value, solar_total, lunar_total = saved[3 * kept - 3 : 3 * kept]
     walked = array("i")
+    before = core._ages(start - 1) if core.YEAR_MIN < start <= dated_end else None
     for year in range(max(core.YEAR_MIN, 100 * kept + 1400), end + 1):
         m = recurrence.metonic_correction(year)
         s = recurrence.solar_correction(year)
         lun = recurrence.lunar_correction(year)
-        value = (value + 11 + m - s + lun) % 30
+        corrections = m - s + lun
+        value = (value + 11 + corrections) % 30
         solar_total += s
         lunar_total += lun
         if year < start:
@@ -140,39 +143,42 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         if alt != lunar:
             _fail(lalt, f"year {year}: lunar_sum {lunar}, alternate form {alt}")
         year_jump = recurrence.jump(year)
-        if year_jump != m - s + lun:
-            _fail(jdec, f"year {year}: jump {year_jump}, corrections give {m - s + lun}")
+        if year_jump != corrections:
+            _fail(jdec, f"year {year}: jump {year_jump}, corrections give {corrections}")
 
         if year > dated_end:
             continue
 
         ages = core._ages(year)
-        if id(ages) not in _walked:
-            _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))
-        bad = _walked[id(ages)][1]
+        held = _walked.get(id(ages))
+        if held is None:
+            held = _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))
+        bad = held[1]
         if bad >= 0:
             _fail(succ, f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
 
-        if year > core.YEAR_MIN:
-            pair = core._ages(year - 1), core._ages(year, core._CORRECTED)
-            key = (id(pair[0]), id(pair[1]), year_jump)
-            if key not in _walked:
-                dec, jan = core._window(*pair)
+        if before is not None:  # last year's raw table is this year's December
+            corrected = core._ages(year, core._CORRECTED)
+            key = (id(before), id(corrected), year_jump)
+            held = _walked.get(key)
+            if held is None:
+                dec, jan = core._window(before, corrected)
                 window = dec + jan
                 bad = _first_bad_step(window, _corrected_resets(year_jump))
                 steps = bad >= 0 and f"boundary day {bad} age {window[bad]} then {window[bad + 1]}"
                 gap = (jan[0] - dec[-1] - 1) % 30 != 0 and (
                     f"Dec 31 age {dec[-1]}, corrected Jan 1 {jan[0]}")
-                _walked[key] = pair, steps, gap
-            _, steps, gap = _walked[key]
+                held = _walked[key] = (before, corrected), steps, gap
+            _, steps, gap = held
             if steps:
                 _fail(csucc, f"year {year}: {steps}")
             if gap:
                 _fail(cont, f"year {year}: {gap}")
+        before = ages
 
-        em, ed = tables.easter_date(year)
-        if not (3, 22) <= (em, ed) <= (4, 25):
-            _fail(east, f"year {year}: easter {em:02d}-{ed:02d}")
+        easter = tables.easter_date(year)
+        if not (3, 22) <= easter <= (4, 25):
+            _fail(east, f"year {year}: easter {easter.month:02d}-{easter.day:02d}")
 
     if walked:
         _prefix[preds] = saved + walked

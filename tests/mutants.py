@@ -37,21 +37,21 @@ MUTANTS = (
     Mutant(
         "raw hit skips _fail",
         VERIFY,
-        "        if id(ages) not in _walked:\n"
-        "            _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))\n"
-        "        bad = _walked[id(ages)][1]\n",
+        "        if held is None:\n"
+        "            held = _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))\n"
+        "        bad = held[1]\n",
         "        bad = -1\n"
-        "        if id(ages) not in _walked:\n"
-        "            bad = _first_bad_step(ages, (29, 30))\n"
-        "            _walked[id(ages)] = ages, bad\n",
+        "        if held is None:\n"
+        "            held = _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))\n"
+        "            bad = held[1]\n",
         VERIFY_TESTS + "test_remembered_raw_fault_is_reported_again",
     ),
     Mutant(
         "window hit skips _fail",
         VERIFY,
-        "                _walked[key] = pair, steps, gap\n"
-        "            _, steps, gap = _walked[key]\n",
-        "                _walked[key] = pair, steps, gap\n"
+        "                held = _walked[key] = (before, corrected), steps, gap\n"
+        "            _, steps, gap = held\n",
+        "                held = _walked[key] = (before, corrected), steps, gap\n"
         "            else:\n"
         "                steps = gap = False\n",
         VERIFY_TESTS + "test_remembered_window_fault_is_reported_again",
@@ -95,8 +95,8 @@ MUTANTS = (
     Mutant(
         "Easter's lower bound at March 21",
         VERIFY,
-        "if not (3, 22) <= (em, ed)",
-        "if not (3, 21) <= (em, ed)",
+        "if not (3, 22) <= easter",
+        "if not (3, 21) <= easter",
         VERIFY_TESTS + "test_easter_before_march_22_is_caught",
     ),
     Mutant(
@@ -112,6 +112,20 @@ MUTANTS = (
         "if alt != lunar:",
         "if alt != lunar and year <= 10**6:",
         VERIFY_TESTS + "test_alternate_lunar_sum_fault_above_a_million_is_caught",
+    ),
+    Mutant(
+        "window reads this year's raw table as December",
+        VERIFY,
+        "core._window(before, corrected)",
+        "core._window(ages, corrected)",
+        VERIFY_TESTS + "test_december_fault_mid_span_is_caught",
+    ),
+    Mutant(
+        "March 21 weekday read one year off",
+        "src/computus/tables.py",
+        "_MARCH_21_WEEKDAYS[year % 400]",
+        "_MARCH_21_WEEKDAYS[(year + 1) % 400]",
+        "tests/test_kernel.py::test_easter_matches_classical_oracle_low_and_deep",
     ),
     Mutant(
         "February 29 check off above 10**6",

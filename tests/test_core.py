@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from computus import (
@@ -23,6 +26,7 @@ from computus import (
     year_ages,
     year_table,
 )
+from computus import core
 
 
 def test_golden_number():
@@ -304,3 +308,24 @@ def test_kernel_index_inputs_are_plain_ints():
     assert epact_label(_Index(16)) == "xvj"
     e = Epact(_Index(25), True)
     assert e == Epact(25, True) and type(e.value) is int
+
+
+def test_epact_memo_is_transparent_and_bounded():
+    # Four threads share the memo and switch often; each asks for its years
+    # twice, interleaved with the others' years, so hits, misses and evictions
+    # race.  Every answer must be the closed form itself, and the memo's size
+    # is a small constant however many years are asked for.
+    fresh = core._epact_value.__wrapped__
+
+    def wrong(k):
+        years = range(1582 + k, 10_000_001, 1_009)
+        return [y for y in years for _ in (0, 1) if core._epact_value(y) != fresh(y)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(wrong, range(4), timeout=120)) == [[]] * 4
+    finally:
+        sys.setswitchinterval(interval)
+    assert core._epact_value.cache_info().maxsize <= 64

@@ -176,6 +176,18 @@ def test_injected_december_fault_is_caught_at_range_start(monkeypatch):
         assert years == 1 and counterexample.startswith("year 1600:")
 
 
+def test_december_fault_mid_span_is_caught(monkeypatch):
+    # The same December 31 fault inside a span: 1599's raw table is both the
+    # year's own table and 1600's December, so both readings must fail.
+    _corrupt_class_table(monkeypatch, (4, False, 0), 364)
+    assert _failing(verify_range(1583, 1700)) == {
+        "raw age succession": (118, "year 1599: day 363 age 14 then 16"),
+        "corrected December-January succession": (
+            117, "year 1600: boundary day 29 age 14 then 16"),
+        "new year continuity": (117, "year 1600: Dec 31 age 16, corrected Jan 1 16"),
+    }
+
+
 def test_fault_in_one_year_of_a_class_is_caught(monkeypatch):
     # The memo is keyed by the ages walked, not by epact class: 1650 shares
     # its class with earlier years of the range, but its own table is wrong.

@@ -278,9 +278,9 @@ class MoonAgeMode(enum.Enum):
 _RAW, _PRONOUNCED, _CORRECTED = MoonAgeMode
 
 
-def _jump(year: int, e: int) -> int:
-    # e is the year's own epact.  Unchecked: recurrence.jump checks the year.
-    return (e - _epact_value(year - 1)) % 30 - 11
+def _jump(year: int) -> int:
+    # Unchecked: recurrence.jump checks the year.  Both epacts come from the memo.
+    return (_epact_value(year) - _epact_value(year - 1)) % 30 - 11
 
 
 def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
@@ -292,7 +292,7 @@ def _ages(year: int, mode: MoonAgeMode = _RAW) -> tuple[int, ...]:
     if mode is _RAW:
         shift = 0
     elif mode is _CORRECTED:
-        shift = _jump(year, e)
+        shift = _jump(year)
     elif mode is _PRONOUNCED:
         shift = 1 if year % 19 == 0 and e > 0 else 0
     else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections
 from collections.abc import Iterator
 
-from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _epact_value, _jump, _special25
+from .core import ANCHOR_YEAR, Epact, _as_int, _check_year, _jump, _special25
 
 __all__ = [
     "ANCHOR_EPACT",
@@ -151,4 +151,4 @@ def jump(year: int) -> int:
     December 31 / January 1 boundary.
     """
     year = _check_year(year, maximum=RECURRENCE_MAX)
-    return _jump(year, _epact_value(year))
+    return _jump(year)

@@ -7,8 +7,8 @@ a year's raw table is the next year's December, so only a span's first year look
 A step check is a pure function of the tables it reads, so a process walks each
 table, and each December/January pair with its jump, once: the memo is keyed by
 identity and holds the tables it keys, so no id recurs and a fresh table is walked.
-A pair's entry keeps each check's counterexample less the year, or False, so a hit
-only adds its year.  Concurrent sweeps can at worst compute the same verdict twice.
+Every entry keeps the counterexample of each check it serves, less the year, or False,
+so a hit only adds its year.  Concurrent sweeps can at worst compute the same verdict twice.
 
 The sweep accumulates the recurrence itself from the public correction
 predicates, looked up on :mod:`computus.recurrence` every year, rather than
@@ -27,7 +27,6 @@ immutable tables; a one-call ``computus verify`` from 1583 records and gains not
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import core, recurrence, tables
@@ -68,24 +67,19 @@ def _fail(check: PropertyCheck, counterexample: str) -> None:
         check.ok, check.counterexample = False, counterexample
 
 
-def _first_bad_step(ages: Sequence[int], resets: tuple[int, ...]) -> int:
-    """Index of the first day whose step to the next is neither +1 nor a
-    reset to 1 from an allowed value; -1 if the whole sequence is fine."""
+def _first_bad_step(ages: tuple[int, ...], jump: int) -> int:
+    """Index of the first day whose step to the next is neither +1 nor a reset
+    to 1 from 29 or 30, where natural lunations end, or from 30 minus the jump,
+    where the corrected first January lunation ends (31 when the jump is -1,
+    28 when it is 2); raw tables pass 0.  -1 if the whole sequence is fine."""
     for i in range(len(ages) - 1):
         a, b = ages[i], ages[i + 1]
-        if b != a + 1 and not (b == 1 and a in resets):
+        if b != a + 1 and not (b == 1 and a in (29, 30, 30 - jump)):
             return i
     return -1
 
 
-def _corrected_resets(year_jump: int) -> tuple[int, ...]:
-    # Natural lunations end at 29 or 30; the corrected first January
-    # lunation ends at 30 minus the year's jump (31 when the jump is -1,
-    # 28 when it is 2).
-    return (29, 30, 30 - year_jump)
-
-
-_walked: dict = {}  # key -> (tables, held so no id recurs; first bad step, or a pair's two texts)
+_walked: dict = {}  # key -> (tables, held so no id recurs; then each check's text, or False)
 _prefix: dict = {}  # predicates, held so no id recurs -> flat states before 1583, 1600, 1700, ...
 
 
@@ -152,10 +146,11 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
         ages = core._ages(year)
         held = _walked.get(id(ages))
         if held is None:
-            held = _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))
-        bad = held[1]
-        if bad >= 0:
-            _fail(succ, f"year {year}: day {bad} age {ages[bad]} then {ages[bad + 1]}")
+            bad = _first_bad_step(ages, 0)
+            steps = bad >= 0 and f"day {bad} age {ages[bad]} then {ages[bad + 1]}"
+            held = _walked[id(ages)] = ages, steps
+        if held[1]:
+            _fail(succ, f"year {year}: {held[1]}")
 
         if before is not None:  # last year's raw table is this year's December
             corrected = core._ages(year, core._CORRECTED)
@@ -164,7 +159,7 @@ def verify_range(start: int = core.YEAR_MIN, end: int = 25000) -> VerifyReport:
             if held is None:
                 dec, jan = core._window(before, corrected)
                 window = dec + jan
-                bad = _first_bad_step(window, _corrected_resets(year_jump))
+                bad = _first_bad_step(window, year_jump)
                 steps = bad >= 0 and f"boundary day {bad} age {window[bad]} then {window[bad + 1]}"
                 gap = (jan[0] - dec[-1] - 1) % 30 != 0 and (
                     f"Dec 31 age {dec[-1]}, corrected Jan 1 {jan[0]}")

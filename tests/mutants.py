@@ -37,13 +37,12 @@ MUTANTS = (
     Mutant(
         "raw hit skips _fail",
         VERIFY,
-        "        if held is None:\n"
-        "            held = _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))\n"
-        "        bad = held[1]\n",
-        "        bad = -1\n"
-        "        if held is None:\n"
-        "            held = _walked[id(ages)] = ages, _first_bad_step(ages, (29, 30))\n"
-        "            bad = held[1]\n",
+        "            held = _walked[id(ages)] = ages, steps\n"
+        "        if held[1]:\n",
+        "            held = _walked[id(ages)] = ages, steps\n"
+        "        else:\n"
+        "            held = ages, False\n"
+        "        if held[1]:\n",
         VERIFY_TESTS + "test_remembered_raw_fault_is_reported_again",
     ),
     Mutant(
@@ -93,6 +92,13 @@ MUTANTS = (
         VERIFY_TESTS + "test_checkpoints_change_no_report",
     ),
     Mutant(
+        "reset from 30 plus the jump",
+        VERIFY,
+        "30 - jump",
+        "30 + jump",
+        VERIFY_TESTS + "test_jump_two_boundary_accepted",
+    ),
+    Mutant(
         "Easter's lower bound at March 21",
         VERIFY,
         "if not (3, 22) <= easter",
@@ -133,6 +139,34 @@ MUTANTS = (
         "and not is_leap_year(year):",
         "and not is_leap_year(year) and year <= 10**6:",
         "tests/test_core.py::test_leap_day_of_a_common_year_near_the_ceiling",
+    ),
+    Mutant(
+        "February 29 check by year % 4",
+        "src/computus/core.py",
+        "and not is_leap_year(year):",
+        "and year % 4 != 0:",
+        "tests/test_core.py::test_moon_age_leap_day",
+    ),
+    Mutant(
+        "jump off by one",
+        "src/computus/core.py",
+        "% 30 - 11",
+        "% 30 - 10",
+        "tests/test_recurrence.py::test_jump_values",
+    ),
+    Mutant(
+        "bad input exits 1",
+        "src/computus/cli.py",
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 2\n',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n',
+        "tests/test_cli.py::test_moon_age_invalid_date",
+    ),
+    Mutant(
+        "a letter file nested too deep escapes",
+        "src/computus/tables.py",
+        "except (OSError, RecursionError, ValueError)",
+        "except (OSError, ValueError)",
+        "tests/test_cli.py::test_epact_deeply_nested_letters_exit_2",
     ),
     Mutant(
         "lunar_sum_alt off by one in 9,999,999",

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from computus import core, verify, verify_range
-from computus.verify import _corrected_resets, _first_bad_step
+from computus.verify import _first_bad_step
 
 
 def _by_name(report):
@@ -103,16 +103,22 @@ def test_injected_correction_fault_is_caught(monkeypatch):
 
 
 def test_first_bad_step_helper():
-    assert _first_bad_step([1, 2, 3], ()) == -1
-    assert _first_bad_step([29, 1, 2], (29,)) == -1
-    assert _first_bad_step([29, 1, 2], (30,)) == 0
-    assert _first_bad_step([5, 7], (29, 30)) == 0
+    # Raw tables pass jump 0: a step is +1 or a reset to 1 from 29 or 30.
+    assert _first_bad_step((1, 2, 3), 0) == -1
+    assert _first_bad_step((29, 1, 2), 0) == -1
+    assert _first_bad_step((30, 1, 2), 0) == -1
+    assert _first_bad_step((5, 7), 0) == 0
 
 
 def test_corrected_reset_set_follows_jump():
-    assert _corrected_resets(0) == (29, 30, 30)
-    assert _corrected_resets(-1) == (29, 30, 31)
-    assert _corrected_resets(2) == (29, 30, 28)
+    # The corrected first January lunation ends at 30 minus the year's jump,
+    # so a reset from 31 or 28 passes only at the jump that allows it.
+    assert _first_bad_step((30, 31, 1, 2), -1) == -1
+    assert _first_bad_step((30, 31, 1, 2), 0) == 1
+    assert _first_bad_step((27, 28, 1, 2), 2) == -1
+    assert _first_bad_step((27, 28, 1, 2), 1) == 1
+    assert _first_bad_step((29, 1, 2), 2) == -1
+    assert _first_bad_step((30, 1, 2), -1) == -1
 
 
 def test_jump_two_boundary_accepted():
